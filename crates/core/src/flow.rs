@@ -756,22 +756,18 @@ pub fn finish_design(
             );
             let routed = router.route();
             if let Some(r) = reuse.as_deref_mut() {
-                r.store_route(router, &routed);
+                r.store_route(routed.clone());
             }
             routed
         }
     };
     timer.mark("route");
     crate::error::flow_gate("flow/extract")?;
-    let (mut parasitics, clock, cached_session) = match reuse
+    let restored = reuse
         .as_deref()
-        .and_then(crate::stage::StageReuse::extract_snap)
-    {
-        Some(snap) => (
-            snap.parasitics.clone(),
-            snap.clock.clone(),
-            snap.session.clone(),
-        ),
+        .and_then(crate::stage::StageReuse::extract_snap);
+    let (mut parasitics, clock) = match &restored {
+        Some(snap) => (snap.parasitics.clone(), snap.clock.clone()),
         None => {
             let parasitics = extract_all(
                 &design,
@@ -784,10 +780,7 @@ pub fn finish_design(
                 &par,
             );
             let clock = clock_arrivals(&design, &clock_tree, &parasitics, Corner::signoff());
-            if let Some(r) = reuse.as_deref_mut() {
-                r.store_extract(&parasitics, &clock);
-            }
-            (parasitics, clock, None)
+            (parasitics, clock)
         }
     };
     timer.mark("extract");
@@ -800,25 +793,33 @@ pub fn finish_design(
     // analysis from scratch every round. A reused session is a copy
     // taken right after graph build (no converged state), so it is
     // indistinguishable from the freshly-built one it replaces.
+    let extract_cold = restored.is_none();
+    let cached_session = restored.and_then(|snap| snap.session.clone());
+    let session_cold = cached_session.is_none();
     let mut session = match cfg.sta_mode {
-        StaMode::Parametric => {
-            let s = match cached_session {
-                Some(s) => s,
-                None => StaSession::new(&signoff_input(
-                    &design,
-                    &parasitics,
-                    &routed,
-                    &constraints,
-                    &clock,
-                )),
-            };
-            if let Some(r) = reuse {
-                r.attach_session(&s);
-            }
-            Some(s)
-        }
+        StaMode::Parametric => Some(cached_session.unwrap_or_else(|| {
+            StaSession::new(&signoff_input(
+                &design,
+                &parasitics,
+                &routed,
+                &constraints,
+                &clock,
+            ))
+        })),
         StaMode::Probe => None,
     };
+    // store the extract boundary once, before any analysis, and only
+    // when this run computed part of it: a cold extract, or the
+    // session a probe-mode snapshot lacked
+    if extract_cold || (session_cold && session.is_some()) {
+        if let Some(r) = reuse {
+            r.store_extract(crate::stage::ExtractSnap {
+                parasitics: parasitics.clone(),
+                clock: clock.clone(),
+                session: session.clone(),
+            });
+        }
+    }
     let mut timing = match &mut session {
         Some(s) => s.analyze(
             &signoff_input(&design, &parasitics, &routed, &constraints, &clock),

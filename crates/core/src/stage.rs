@@ -24,6 +24,21 @@
 //! construction — the determinism contract the DSE sweep tests and
 //! the `sweep-reuse` CI gate hold.
 //!
+//! ## Memory
+//!
+//! The cache holds only snapshots that can still serve a run, each
+//! stored once:
+//!
+//! - [`StageReuse::begin`] drops every slot at or past the matched
+//!   depth before the run allocates anything. Keys are chained, so
+//!   those slots can never serve this run, and it would overwrite
+//!   them anyway.
+//! - The route slot holds the assembled [`RoutedDesign`] only.
+//! - The extract slot is written once, after the STA stage has built
+//!   its session and before any analysis.
+//! - A run writes a slot only for work it did: a stage restored from
+//!   the cache stores nothing.
+//!
 //! ## Reuse / invalidation tables
 //!
 //! For the fine-grained flows (`2D`, `Macro-3D`), the per-stage key
@@ -68,7 +83,7 @@ use crate::flow::FlowConfig;
 use macro3d_extract::NetParasitics;
 use macro3d_netlist::Design;
 use macro3d_place::{Floorplan, GlobalPlaceConfig, Placement, PortPlan};
-use macro3d_route::{RouteConfig, RoutedDesign, Router};
+use macro3d_route::{RouteConfig, RoutedDesign};
 use macro3d_soc::TileConfig;
 use macro3d_sta::{ClockArrivals, ClockTree, StaMode, StaSession};
 use macro3d_tech::stack::MetalStack;
@@ -268,21 +283,19 @@ pub struct PlaceSnap {
     pub tree: ClockTree,
 }
 
-/// Route-boundary artifacts. The [`Router`] session (committed paths,
-/// congestion history, Steiner topologies) is kept alive so future
-/// incremental re-entry points can drive `Router::update`; the
-/// routed design is what the downstream stages consume today.
+/// Route-boundary artifacts: the assembled routing result, which is
+/// all the downstream stages read. The negotiation session that
+/// produced it is dropped at stage exit.
 pub struct RouteSnap {
-    /// The full negotiation session, resumable via `Router::update`.
-    pub router: Router,
     /// The assembled routing result.
     pub routed: RoutedDesign,
 }
 
-/// Extract-boundary artifacts. `session` is the parametric STA
-/// session snapshotted right after graph build (before any analysis),
-/// so restoring it is indistinguishable from building it fresh —
-/// `None` when the cold run used [`StaMode::Probe`].
+/// Extract-boundary artifacts, stored once the STA stage has built
+/// its session. `session` is the parametric STA session snapshotted
+/// right after graph build (before any analysis), so restoring it is
+/// indistinguishable from building it fresh — `None` when the run
+/// that stored the slot used [`StaMode::Probe`].
 pub struct ExtractSnap {
     /// Sign-off-corner parasitics for every net.
     pub parasitics: Vec<NetParasitics>,
@@ -292,6 +305,7 @@ pub struct ExtractSnap {
     pub session: Option<StaSession>,
 }
 
+#[derive(Clone)]
 enum Artifact {
     Floorplan(Arc<FloorplanSnap>),
     Place(Arc<PlaceSnap>),
@@ -358,6 +372,12 @@ impl<'a> StageReuse<'a> {
                 Some((key, _)) if *key == keys.prefix[i] => start = i + 1,
                 _ => break,
             }
+        }
+        // slots at or past the matched depth can never serve this run
+        // (keys are chained) and it overwrites them anyway: free them
+        // before the run allocates anything
+        for slot in &mut cache.slots[start..] {
+            *slot = None;
         }
         REUSE_RUNS.inc();
         REUSE_DEPTH.add(start as u64);
@@ -438,53 +458,27 @@ impl<'a> StageReuse<'a> {
         self.store(Stage::Place, Artifact::Place(Arc::new(snap)));
     }
 
-    /// Stores the route-boundary snapshot (takes the live router).
-    pub fn store_route(&mut self, router: Router, routed: &RoutedDesign) {
+    /// Stores the route-boundary snapshot.
+    pub fn store_route(&mut self, routed: RoutedDesign) {
         self.store(
             Stage::Route,
-            Artifact::Route(Arc::new(RouteSnap {
-                router,
-                routed: routed.clone(),
-            })),
+            Artifact::Route(Arc::new(RouteSnap { routed })),
         );
     }
 
-    /// Stores the extract-boundary snapshot (without a session; see
-    /// [`StageReuse::attach_session`]).
-    pub fn store_extract(&mut self, parasitics: &[NetParasitics], clock: &ClockArrivals) {
-        self.store(
-            Stage::Extract,
-            Artifact::Extract(Arc::new(ExtractSnap {
-                parasitics: parasitics.to_vec(),
-                clock: clock.clone(),
-                session: None,
-            })),
-        );
-    }
-
-    /// Backfills the freshly-built STA session into the extract slot
-    /// (the session only exists once the STA stage begins). No-op if
-    /// the slot was not stored by this run.
-    pub fn attach_session(&mut self, session: &StaSession) {
-        let slot = &mut self.cache.slots[Stage::Extract as usize];
-        if let Some((key, Artifact::Extract(snap))) = slot {
-            if *key == self.keys.prefix[Stage::Extract as usize] {
-                *slot = Some((
-                    *key,
-                    Artifact::Extract(Arc::new(ExtractSnap {
-                        parasitics: snap.parasitics.clone(),
-                        clock: snap.clock.clone(),
-                        session: Some(session.clone()),
-                    })),
-                ));
-            }
-        }
+    /// Stores the extract-boundary snapshot. Call once the STA stage
+    /// has built its session and before any analysis, so the slot is
+    /// written once with everything a re-entry at STA needs.
+    pub fn store_extract(&mut self, snap: ExtractSnap) {
+        self.store(Stage::Extract, Artifact::Extract(Arc::new(snap)));
     }
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::flows::{Flow, Macro3d};
+    use std::sync::OnceLock;
 
     fn keys(f: impl FnOnce(&mut FlowConfig)) -> StageKeys {
         let mut cfg = FlowConfig::default();
@@ -620,5 +614,102 @@ mod tests {
         let r = StageReuse::begin(&mut cache, "Macro-3D", &tile, &moved).unwrap();
         assert_eq!(r.start_stage(), 0);
         assert!(r.floorplan_snap().is_none());
+    }
+
+    /// The four slots a cold Macro-3D mini run stores, shared by the
+    /// tests below: each gets a cache holding `Arc` copies of them.
+    fn cold_cache() -> StageCache {
+        static COLD: OnceLock<StageCache> = OnceLock::new();
+        let cold = COLD.get_or_init(|| {
+            let mut cache = StageCache::new();
+            run_mini(&mut cache, &FlowConfig::default());
+            cache
+        });
+        StageCache {
+            slots: cold.slots.clone(),
+        }
+    }
+
+    /// Runs Macro-3D on the mini tile through `cache`; returns the
+    /// re-entry depth.
+    fn run_mini(cache: &mut StageCache, cfg: &FlowConfig) -> usize {
+        let tile = TileConfig::mini();
+        let netlist = crate::build_cache::cached_tile(&tile);
+        let mut reuse = StageReuse::begin(cache, "Macro-3D", &tile, cfg);
+        Macro3d
+            .try_run_reusing(&netlist, cfg, reuse.as_mut())
+            .unwrap()
+            .reuse_depth
+    }
+
+    fn begin_with(cache: &mut StageCache, f: impl FnOnce(&mut FlowConfig)) -> usize {
+        let mut cfg = FlowConfig::default();
+        f(&mut cfg);
+        StageReuse::begin(cache, "Macro-3D", &TileConfig::mini(), &cfg)
+            .unwrap()
+            .start_stage()
+    }
+
+    fn stored(cache: &StageCache) -> [bool; NUM_STAGES] {
+        std::array::from_fn(|i| cache.slots[i].is_some())
+    }
+
+    fn extract_arc(cache: &StageCache) -> Arc<ExtractSnap> {
+        match &cache.slots[Stage::Extract as usize] {
+            Some((_, Artifact::Extract(snap))) => Arc::clone(snap),
+            _ => panic!("no extract slot"),
+        }
+    }
+
+    #[test]
+    fn begin_drops_slots_at_or_past_the_matched_depth() {
+        let mut cache = cold_cache();
+        assert_eq!(stored(&cache), [true, true, true, true, false]);
+
+        // a route knob: floorplan and place survive, route and extract go
+        assert_eq!(begin_with(&mut cache, |c| c.route.iterations += 1), 2);
+        assert_eq!(stored(&cache), [true, true, false, false, false]);
+
+        // a floorplan knob: nothing survives
+        let mut cache = cold_cache();
+        assert_eq!(begin_with(&mut cache, |c| c.halo_um += 1.0), 0);
+        assert_eq!(stored(&cache), [false; NUM_STAGES]);
+
+        // a full key match keeps every slot (the replays read them)
+        let mut cache = cold_cache();
+        let before = extract_arc(&cache);
+        assert_eq!(begin_with(&mut cache, |_| {}), 4);
+        assert_eq!(stored(&cache), [true, true, true, true, false]);
+        assert!(Arc::ptr_eq(&before, &extract_arc(&cache)));
+    }
+
+    #[test]
+    fn route_snap_holds_only_the_routed_design() {
+        let mut cache = cold_cache();
+        let reuse = StageReuse::begin(
+            &mut cache,
+            "Macro-3D",
+            &TileConfig::mini(),
+            &FlowConfig::default(),
+        )
+        .unwrap();
+        let snap = reuse.route_snap().unwrap();
+        // exhaustive: a field added beside `routed` fails to compile
+        let RouteSnap { routed } = &*snap;
+        assert!(routed.total_wirelength_um > 0.0);
+    }
+
+    #[test]
+    fn sta_reentry_leaves_the_extract_slot_alone() {
+        let mut cache = cold_cache();
+        let before = extract_arc(&cache);
+        assert!(before.session.is_some(), "parametric runs store a session");
+        let mut sized = FlowConfig::default();
+        sized.sizing_rounds += 1;
+        assert_eq!(run_mini(&mut cache, &sized), 4);
+        assert!(
+            Arc::ptr_eq(&before, &extract_arc(&cache)),
+            "a depth-4 re-entry must not rebuild the extract snapshot"
+        );
     }
 }

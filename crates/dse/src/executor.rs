@@ -52,8 +52,10 @@ pub struct DseConfig {
     /// Give each worker a [`macro3d::StageCache`] so consecutive jobs
     /// sharing a stage-key prefix re-enter the flow mid-way (see
     /// `macro3d::stage`). Off = every job runs fully cold. Results
-    /// are bit-identical either way; this only trades memory for
-    /// wall-clock.
+    /// are bit-identical either way. The cost is memory: each worker
+    /// keeps the boundary snapshots of its last job, which the
+    /// `perfbench` `sweep_cold` workload (mini tile, 2 workers, 2-CPU
+    /// host) measures at ~25 MB peak RSS with reuse on vs ~22 MB off.
     pub stage_reuse: bool,
 }
 
@@ -631,12 +633,14 @@ fn execute_flow(
     let stage_reuse = inner.cfg.stage_reuse;
     let started = Instant::now();
     let run = catch_unwind(AssertUnwindSafe(|| {
-        let tile = generate_tile(&spec.tile);
+        // begin first: it frees the cache slots this job cannot use
+        // before the tile is generated
         let mut reuse = if stage_reuse {
             macro3d::StageReuse::begin(stage_cache, &spec.flow, &spec.tile, &spec.config)
         } else {
             None
         };
+        let tile = generate_tile(&spec.tile);
         flow.try_run_reusing(&tile, &spec.config, reuse.as_mut())
     }));
     let wall_s = started.elapsed().as_secs_f64();

@@ -28,7 +28,6 @@ use macro3d_par::{checkpoint, note_degradation, parallel_map_with, Checkpoint, P
 use macro3d_tech::stack::MetalStack;
 use std::collections::HashMap;
 use std::fmt;
-use std::sync::Arc;
 
 /// Router configuration.
 #[derive(Clone, Copy, Debug)]
@@ -283,7 +282,7 @@ pub struct Router {
     cfg: RouteConfig,
     grid: RouteGrid,
     f2f_cut: Option<usize>,
-    shared: Arc<SearchShared>,
+    shared: SearchShared,
     pool: ScratchPool,
     /// owned copy of the request's nets (pins are replaced by
     /// `update`).
@@ -301,31 +300,6 @@ pub struct Router {
     net_edges: Vec<Vec<u32>>,
     /// nets awaiting (re-)routing in the next negotiation.
     pending: Vec<bool>,
-}
-
-/// Cloning snapshots the whole session — grid usage/history, committed
-/// routes, pending set — so a cached router can be deep-copied and
-/// driven forward (e.g. `update`) without disturbing the original.
-/// The scratch pool is per-clone (its contents never affect results);
-/// the immutable search constants are shared by `Arc`.
-impl Clone for Router {
-    fn clone(&self) -> Self {
-        Router {
-            cfg: self.cfg,
-            grid: self.grid.clone(),
-            f2f_cut: self.f2f_cut,
-            shared: Arc::clone(&self.shared),
-            pool: ScratchPool::new(),
-            nets: self.nets.clone(),
-            index: self.index.clone(),
-            num_nets: self.num_nets,
-            order: self.order.clone(),
-            topo: self.topo.clone(),
-            routes: self.routes.clone(),
-            net_edges: self.net_edges.clone(),
-            pending: self.pending.clone(),
-        }
-    }
 }
 
 impl Router {
@@ -354,12 +328,7 @@ impl Router {
             .map(|v| if v.is_f2f { 0.6 } else { cfg.via_cost as f32 })
             .collect();
         let dirs = req.stack.layers().iter().map(|l| l.direction).collect();
-        let shared = Arc::new(SearchShared::new(
-            &grid,
-            dirs,
-            via_costs,
-            cfg.via_cost as f32,
-        ));
+        let shared = SearchShared::new(&grid, dirs, via_costs, cfg.via_cost as f32);
 
         let nets: Vec<(NetId, Vec<RoutePin>)> = req.nets.to_vec();
         let index = nets
@@ -541,7 +510,7 @@ impl Router {
             for chunk in reroute.chunks(par.chunk_size.max(1)) {
                 CHUNK_NETS.record(chunk.len() as u64);
                 let grid = &self.grid;
-                let shared = &*self.shared;
+                let shared = &self.shared;
                 let topo = &self.topo;
                 let pool = &self.pool;
                 let f2f_cut = self.f2f_cut;
