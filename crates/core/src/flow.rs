@@ -1,19 +1,22 @@
 //! Shared flow infrastructure: configuration, floorplan sizing, the
 //! common place/route/extract/sign-off engine every flow drives.
 
+use crate::error::{flow_gate, FlowError};
+use crate::stage::{ExtractSnap, FloorplanSnap, PlaceSnap, StageReuse};
 use macro3d_extract::{extract_net, NetParasitics};
 use macro3d_geom::{Dbu, Point, Rect};
 use macro3d_netlist::{Design, InstId, Master, NetId, PinRef};
 use macro3d_par::{
     checkpoint, note_degradation, parallel_map, Checkpoint, FaultPlan, FlowBudget, Parallelism,
 };
+use macro3d_place::floorplan::die_for_area;
 use macro3d_place::{global_place, legalize, Floorplan, GlobalPlaceConfig, Placement, PortPlan};
 use macro3d_route::{RouteConfig, RouteRequest, RoutedDesign, Router};
 use macro3d_soc::TileNetlist;
 use macro3d_sta::{
-    analyze_power, analyze_with, check_hold, clock_arrivals, insert_repeaters,
-    synthesize_clock_tree, upsize_critical_path, ClockArrivals, ClockTree, CtsConfig, HoldReport,
-    PowerInput, PowerReport, StaConstraints, StaInput, StaMode, StaSession, TimingReport,
+    analyze_power, check_hold, clock_arrivals, insert_repeaters, synthesize_clock_tree,
+    upsize_critical_path, ClockArrivals, ClockTree, CtsConfig, HoldReport, PowerInput, PowerReport,
+    StaConstraints, StaInput, StaSession, TimingReport,
 };
 use macro3d_tech::stack::{DieRole, MetalStack};
 use macro3d_tech::Corner;
@@ -49,13 +52,6 @@ pub struct FlowConfig {
     pub cts: CtsConfig,
     /// Post-route sizing iterations.
     pub sizing_rounds: usize,
-    /// Minimum-period engine for every sign-off analysis.
-    /// [`StaMode::Parametric`] (the default) runs one affine
-    /// propagation plus a confirmation and lets the sizing loops
-    /// re-time only the fan-out cones of resized gates;
-    /// [`StaMode::Probe`] keeps the legacy 32-probe binary search
-    /// with a full re-analysis per sizing round.
-    pub sta_mode: StaMode,
     /// Quantization period for partial blockages in the S2D/C2D
     /// pseudo-2D stages, µm (the commercial tools' coarse spatial
     /// resolution the paper observes).
@@ -95,7 +91,6 @@ impl Default for FlowConfig {
             route: RouteConfig::default(),
             cts: CtsConfig::default(),
             sizing_rounds: 8,
-            sta_mode: StaMode::default(),
             partial_blockage_period_um: 8.0,
             place: GlobalPlaceConfig::default(),
             parallelism: Parallelism::default(),
@@ -210,7 +205,7 @@ pub fn try_pack_mol_floorplans(
         Vec<macro3d_place::MacroPlacement>,
         Vec<macro3d_place::MacroPlacement>,
     ),
-    crate::error::FlowError,
+    FlowError,
 > {
     use macro3d_place::macro_anneal::{refine_macros_sa, AnnealConfig};
     use macro3d_place::macro_place::{pack_ring, pack_shelves};
@@ -232,7 +227,7 @@ pub fn try_pack_mol_floorplans(
         match top.pop() {
             Some(m) => bottom.push(m),
             None => {
-                return Err(crate::error::FlowError::Floorplan {
+                return Err(FlowError::Floorplan {
                     stage: "mol/dual_pack",
                     detail: format!(
                         "{} logic-die macros do not fit the {:.0}x{:.0}um die",
@@ -243,29 +238,6 @@ pub fn try_pack_mol_floorplans(
                 });
             }
         }
-    }
-}
-
-/// Infallible wrapper over [`try_pack_mol_floorplans`] for callers
-/// that know their configuration packs (benches, tests).
-///
-/// # Panics
-///
-/// Panics with the underlying [`FlowError`](crate::error::FlowError)
-/// message if packing fails.
-pub fn pack_mol_floorplans(
-    design: &Design,
-    die: Rect,
-    halo: Dbu,
-    top: Vec<InstId>,
-    bottom: Vec<InstId>,
-) -> (
-    Vec<macro3d_place::MacroPlacement>,
-    Vec<macro3d_place::MacroPlacement>,
-) {
-    match try_pack_mol_floorplans(design, die, halo, top, bottom) {
-        Ok(packed) => packed,
-        Err(e) => panic!("{e}"),
     }
 }
 
@@ -663,11 +635,120 @@ pub fn place_pipeline(
     (placement, tree)
 }
 
-/// Routes, extracts and signs a placed design off, including the
-/// Sign-off [`StaInput`] at the SS corner — the sizing loop below
-/// rebuilds this every round because `design` and `parasitics` are
-/// mutated between analyses.
-fn signoff_input<'a>(
+/// Implements a direct (single-pass) flow — the 2D baseline and
+/// Macro-3D. Both hand one floorplan and one metal stack to the same
+/// unmodified 2D engine; they differ only in the data passed here:
+///
+/// * `die_area_factor` — the die area as a multiple of the F2F
+///   footprint (2 for the 2D baseline's equal-silicon rule, 1 for
+///   Macro-3D);
+/// * `build` — the macro floorplan and routing stack for the die,
+///   given the pristine design, its [`AreaBudget`] and the die;
+/// * `macro_pins_projected` — forwarded to [`finish_design`].
+///
+/// The driver owns the stage plumbing: the `flow/floorplan` and
+/// `flow/place` gates, port assignment, [`place_pipeline`], and the
+/// floorplan/place snapshot restore and store through `reuse` (see
+/// [`crate::stage`]). A matched prefix re-enters downstream of its
+/// boundary on deep clones of the previous run's snapshot.
+///
+/// # Errors
+///
+/// Returns whatever `build` returns, [`FlowError::Injected`] when the
+/// active fault plan injects an error at a flow gate, and the errors
+/// of [`finish_design`].
+pub(crate) fn implement_direct(
+    tile: &TileNetlist,
+    cfg: &FlowConfig,
+    mut reuse: Option<&mut StageReuse<'_>>,
+    die_area_factor: f64,
+    macro_pins_projected: bool,
+    build: impl FnOnce(&Design, &AreaBudget, Rect) -> Result<(Floorplan, MetalStack), FlowError>,
+) -> Result<ImplementedDesign, FlowError> {
+    let mut timer = StageTimer::new();
+    let constraints = sta_constraints(tile);
+
+    let (design, fp, ports, stack, placement, tree);
+    if let Some(snap) = reuse.as_deref().and_then(StageReuse::place_snap) {
+        // floorplan + placement reused: restore the post-place state
+        // (design already carries repeaters and clock buffers)
+        design = snap.design.clone();
+        fp = snap.fp.clone();
+        ports = snap.ports.clone();
+        stack = snap.stack.clone();
+        placement = snap.placement.clone();
+        tree = snap.tree.clone();
+        timer.mark("floorplan");
+        timer.mark("place_reused");
+    } else {
+        let mut d = tile.design.clone();
+        let (fp_c, ports_c, stack_c) = match reuse.as_deref().and_then(StageReuse::floorplan_snap) {
+            Some(snap) => (snap.fp.clone(), snap.ports.clone(), snap.stack.clone()),
+            None => {
+                let budget = area_budget(&d, cfg);
+                let lib = d.library();
+                let die = die_for_area(
+                    die_area_factor * budget.a3d_um2,
+                    1.0,
+                    lib.row_height(),
+                    lib.site_width(),
+                );
+                flow_gate("flow/floorplan")?;
+                let (fp, stack) = build(&d, &budget, die)?;
+                let ports = PortPlan::assign(&d, die);
+                if let Some(r) = reuse.as_deref_mut() {
+                    r.store_floorplan(FloorplanSnap {
+                        fp: fp.clone(),
+                        ports: ports.clone(),
+                        stack: stack.clone(),
+                    });
+                }
+                (fp, ports, stack)
+            }
+        };
+        timer.mark("floorplan");
+        flow_gate("flow/place")?;
+        let (placement_c, tree_c) =
+            place_pipeline(&mut d, &fp_c, &ports_c, &constraints, cfg, &mut timer);
+        if let Some(r) = reuse.as_deref_mut() {
+            r.store_place(PlaceSnap {
+                design: d.clone(),
+                fp: fp_c.clone(),
+                ports: ports_c.clone(),
+                stack: stack_c.clone(),
+                placement: placement_c.clone(),
+                tree: tree_c.clone(),
+            });
+        }
+        design = d;
+        fp = fp_c;
+        ports = ports_c;
+        stack = stack_c;
+        placement = placement_c;
+        tree = tree_c;
+    }
+
+    finish_design(
+        design,
+        placement,
+        ports,
+        fp,
+        stack,
+        cfg.logic_metals,
+        tree,
+        constraints,
+        cfg,
+        macro_pins_projected,
+        cfg.sizing_rounds,
+        timer,
+        reuse,
+    )
+}
+
+/// Sign-off [`StaInput`] at the SS corner — the sizing loops rebuild
+/// this every round because `design` and `parasitics` are mutated
+/// between analyses.
+pub(crate) fn signoff_input<'a>(
     design: &'a Design,
     parasitics: &'a [NetParasitics],
     routed: &'a RoutedDesign,
@@ -684,6 +765,7 @@ fn signoff_input<'a>(
     }
 }
 
+/// Routes, extracts and signs a placed design off, including the
 /// post-route sizing loop. This is flow step 3 ("standard 2D P&R
 /// engine") plus sign-off. `timer` continues the flow's stage clock
 /// and ends up in the returned design's `stage_times`.
@@ -698,11 +780,10 @@ fn signoff_input<'a>(
 ///
 /// # Errors
 ///
-/// Returns [`FlowError::Injected`](crate::error::FlowError::Injected)
-/// when the active fault plan injects an error at one of the
-/// `flow/route`, `flow/extract` or `flow/sta` gates. Budget
-/// exhaustion does not error: the sizing loop stops at its checkpoint
-/// and the run completes degraded. (Stage reuse is disabled whenever
+/// Returns [`FlowError::Injected`] when the active fault plan injects
+/// an error at one of the `flow/route`, `flow/extract` or `flow/sta`
+/// gates. Budget exhaustion does not error: the sizing loop stops at
+/// its checkpoint and the run completes degraded. (Stage reuse is disabled whenever
 /// a budget or fault plan is active — `reuse` arrives as `None`.)
 #[allow(clippy::too_many_arguments)]
 pub fn finish_design(
@@ -718,15 +799,12 @@ pub fn finish_design(
     macro_pins_projected: bool,
     sizing_rounds: usize,
     mut timer: StageTimer,
-    mut reuse: Option<&mut crate::stage::StageReuse<'_>>,
-) -> Result<ImplementedDesign, crate::error::FlowError> {
+    mut reuse: Option<&mut StageReuse<'_>>,
+) -> Result<ImplementedDesign, FlowError> {
     let par = cfg.parallelism;
     let die = fp.die();
-    crate::error::flow_gate("flow/route")?;
-    let routed = match reuse
-        .as_deref()
-        .and_then(crate::stage::StageReuse::route_snap)
-    {
+    flow_gate("flow/route")?;
+    let routed = match reuse.as_deref().and_then(StageReuse::route_snap) {
         Some(snap) => snap.routed.clone(),
         None => {
             let obstacles = macro_obstacles(
@@ -762,75 +840,63 @@ pub fn finish_design(
         }
     };
     timer.mark("route");
-    crate::error::flow_gate("flow/extract")?;
-    let restored = reuse
-        .as_deref()
-        .and_then(crate::stage::StageReuse::extract_snap);
-    let (mut parasitics, clock) = match &restored {
-        Some(snap) => (snap.parasitics.clone(), snap.clock.clone()),
-        None => {
-            let parasitics = extract_all(
-                &design,
-                &placement,
-                &ports,
-                &stack,
-                &routed,
-                &constraints,
-                Corner::signoff(),
-                &par,
-            );
-            let clock = clock_arrivals(&design, &clock_tree, &parasitics, Corner::signoff());
-            (parasitics, clock)
-        }
-    };
+    flow_gate("flow/extract")?;
+    let (mut parasitics, clock, cached_session) =
+        match reuse.as_deref().and_then(StageReuse::extract_snap) {
+            Some(snap) => (
+                snap.parasitics.clone(),
+                snap.clock.clone(),
+                Some(snap.session.clone()),
+            ),
+            None => {
+                let parasitics = extract_all(
+                    &design,
+                    &placement,
+                    &ports,
+                    &stack,
+                    &routed,
+                    &constraints,
+                    Corner::signoff(),
+                    &par,
+                );
+                let clock = clock_arrivals(&design, &clock_tree, &parasitics, Corner::signoff());
+                (parasitics, clock, None)
+            }
+        };
     timer.mark("extract");
-    crate::error::flow_gate("flow/sta")?;
+    flow_gate("flow/sta")?;
 
-    // Parametric mode keeps one StaSession alive across the sizing
-    // loop: the timing graph is built once and each round re-times
-    // only the fan-out cones of the nets `apply_sizing_to_parasitics`
-    // reports as touched. Probe mode re-runs the legacy binary-search
-    // analysis from scratch every round. A reused session is a copy
-    // taken right after graph build (no converged state), so it is
-    // indistinguishable from the freshly-built one it replaces.
-    let extract_cold = restored.is_none();
-    let cached_session = restored.and_then(|snap| snap.session.clone());
-    let session_cold = cached_session.is_none();
-    let mut session = match cfg.sta_mode {
-        StaMode::Parametric => Some(cached_session.unwrap_or_else(|| {
-            StaSession::new(&signoff_input(
-                &design,
-                &parasitics,
-                &routed,
-                &constraints,
-                &clock,
-            ))
-        })),
-        StaMode::Probe => None,
-    };
+    // One StaSession lives across the sizing loop: the timing graph
+    // is built once and each round re-times only the fan-out cones of
+    // the nets `apply_sizing_to_parasitics` reports as touched. A
+    // reused session is a copy taken right after graph build (no
+    // converged state), so it is indistinguishable from the
+    // freshly-built one it replaces.
+    let extract_cold = cached_session.is_none();
+    let mut session = cached_session.unwrap_or_else(|| {
+        StaSession::new(&signoff_input(
+            &design,
+            &parasitics,
+            &routed,
+            &constraints,
+            &clock,
+        ))
+    });
     // store the extract boundary once, before any analysis, and only
-    // when this run computed part of it: a cold extract, or the
-    // session a probe-mode snapshot lacked
-    if extract_cold || (session_cold && session.is_some()) {
+    // when this run computed it
+    if extract_cold {
         if let Some(r) = reuse {
-            r.store_extract(crate::stage::ExtractSnap {
+            r.store_extract(ExtractSnap {
                 parasitics: parasitics.clone(),
                 clock: clock.clone(),
                 session: session.clone(),
             });
         }
     }
-    let mut timing = match &mut session {
-        Some(s) => s.analyze(
-            &signoff_input(&design, &parasitics, &routed, &constraints, &clock),
-            &par,
-        ),
-        None => analyze_with(
-            &signoff_input(&design, &parasitics, &routed, &constraints, &clock),
-            &par,
-            StaMode::Probe,
-        ),
-    };
+    let mut timing = session.analyze(
+        &signoff_input(&design, &parasitics, &routed, &constraints, &clock),
+        &par,
+    );
     let mut resized: HashSet<InstId> = HashSet::new();
     for round in 0..sizing_rounds {
         // cooperative budget checkpoint: on exhaustion keep the
@@ -850,18 +916,11 @@ pub fn finish_design(
         resized.extend(changes.iter().map(|(i, _)| *i));
         let touched =
             macro3d_sta::opt::apply_sizing_to_parasitics(&design, &changes, &mut parasitics);
-        let t2 = match &mut session {
-            Some(s) => s.update(
-                &signoff_input(&design, &parasitics, &routed, &constraints, &clock),
-                &touched,
-                &par,
-            ),
-            None => analyze_with(
-                &signoff_input(&design, &parasitics, &routed, &constraints, &clock),
-                &par,
-                StaMode::Probe,
-            ),
-        };
+        let t2 = session.update(
+            &signoff_input(&design, &parasitics, &routed, &constraints, &clock),
+            &touched,
+            &par,
+        );
         if t2.min_period_ps >= timing.min_period_ps {
             break;
         }
@@ -927,17 +986,10 @@ pub fn finish_design(
             // hold fixing added instances and nets: the parametric
             // session notices the structural change and rebuilds its
             // timing graph before re-solving
-            timing = match &mut session {
-                Some(s) => s.analyze(
-                    &signoff_input(&design, &parasitics, &routed, &constraints, &clock),
-                    &par,
-                ),
-                None => analyze_with(
-                    &signoff_input(&design, &parasitics, &routed, &constraints, &clock),
-                    &par,
-                    StaMode::Probe,
-                ),
-            };
+            timing = session.analyze(
+                &signoff_input(&design, &parasitics, &routed, &constraints, &clock),
+                &par,
+            );
         }
     }
 
@@ -990,11 +1042,6 @@ pub fn logic_cell_area_mm2(design: &Design) -> f64 {
         .map(|i| design.inst_area_um2(i))
         .sum::<f64>()
         / 1e6
-}
-
-/// Instances that are standard cells.
-pub fn std_cells(design: &Design) -> Vec<InstId> {
-    design.inst_ids().filter(|&i| !design.is_macro(i)).collect()
 }
 
 #[cfg(test)]

@@ -75,6 +75,39 @@ fn run_observed<T>(
     Ok((result?, degradation, obs))
 }
 
+/// The one [`Flow::try_run_reusing`] body. Records the reuse depth,
+/// runs `implement` under [`run_observed`], and builds the outcome
+/// from the per-flow data: the PPA `label` and whether the design is
+/// `stacked` (two dies, so the metal area counts both dies' layers on
+/// the F2F footprint).
+fn run_reusing(
+    name: &str,
+    label: String,
+    stacked: bool,
+    cfg: &FlowConfig,
+    reuse: Option<&mut StageReuse<'_>>,
+    implement: impl FnOnce(
+        Option<&mut StageReuse<'_>>,
+    ) -> Result<(ImplementedDesign, Option<S2dDiagnostics>), FlowError>,
+) -> Result<FlowOutcome, FlowError> {
+    let reuse_depth = reuse.as_deref().map_or(0, StageReuse::start_stage);
+    let ((implemented, diagnostics), degradation, obs) =
+        run_observed(name, cfg, || implement(reuse))?;
+    let mut ppa = PpaResult::from_impl(label, &implemented);
+    if stacked {
+        // per-die footprint x per-die layer counts
+        ppa.metal_area_mm2 = ppa.footprint_mm2 * (cfg.logic_metals + cfg.macro_metals) as f64;
+    }
+    Ok(FlowOutcome {
+        ppa,
+        implemented,
+        diagnostics,
+        obs,
+        degradation,
+        reuse_depth,
+    })
+}
+
 /// A complete physical-design methodology, from tile netlist to
 /// signed-off PPA.
 pub trait Flow {
@@ -141,17 +174,8 @@ impl Flow for Flow2d {
         cfg: &FlowConfig,
         reuse: Option<&mut StageReuse<'_>>,
     ) -> Result<FlowOutcome, FlowError> {
-        let reuse_depth = reuse.as_deref().map_or(0, StageReuse::start_stage);
-        let (implemented, degradation, obs) = run_observed(self.name(), cfg, || {
-            crate::flow2d::implement(tile, cfg, reuse)
-        })?;
-        Ok(FlowOutcome {
-            ppa: PpaResult::from_impl(self.name(), &implemented),
-            implemented,
-            diagnostics: None,
-            obs,
-            degradation,
-            reuse_depth,
+        run_reusing(self.name(), self.name().into(), false, cfg, reuse, |r| {
+            Ok((crate::flow2d::implement(tile, cfg, r)?, None))
         })
     }
 }
@@ -178,19 +202,9 @@ impl Flow for S2d {
         cfg: &FlowConfig,
         reuse: Option<&mut StageReuse<'_>>,
     ) -> Result<FlowOutcome, FlowError> {
-        let reuse_depth = reuse.as_deref().map_or(0, StageReuse::start_stage);
-        let ((implemented, diag), degradation, obs) = run_observed(self.name(), cfg, || {
-            crate::s2d::implement(tile, cfg, self.style, reuse)
-        })?;
-        let mut ppa = PpaResult::from_impl(self.name(), &implemented);
-        ppa.metal_area_mm2 = ppa.footprint_mm2 * (cfg.logic_metals + cfg.macro_metals) as f64;
-        Ok(FlowOutcome {
-            ppa,
-            implemented,
-            diagnostics: Some(diag),
-            obs,
-            degradation,
-            reuse_depth,
+        run_reusing(self.name(), self.name().into(), true, cfg, reuse, |r| {
+            let (implemented, diag) = crate::s2d::implement(tile, cfg, self.style, r)?;
+            Ok((implemented, Some(diag)))
         })
     }
 }
@@ -210,18 +224,9 @@ impl Flow for C2d {
         cfg: &FlowConfig,
         reuse: Option<&mut StageReuse<'_>>,
     ) -> Result<FlowOutcome, FlowError> {
-        let reuse_depth = reuse.as_deref().map_or(0, StageReuse::start_stage);
-        let ((implemented, diag), degradation, obs) =
-            run_observed(self.name(), cfg, || crate::c2d::implement(tile, cfg, reuse))?;
-        let mut ppa = PpaResult::from_impl(self.name(), &implemented);
-        ppa.metal_area_mm2 = ppa.footprint_mm2 * (cfg.logic_metals + cfg.macro_metals) as f64;
-        Ok(FlowOutcome {
-            ppa,
-            implemented,
-            diagnostics: Some(diag),
-            obs,
-            degradation,
-            reuse_depth,
+        run_reusing(self.name(), self.name().into(), true, cfg, reuse, |r| {
+            let (implemented, diag) = crate::c2d::implement(tile, cfg, r)?;
+            Ok((implemented, Some(diag)))
         })
     }
 }
@@ -243,23 +248,9 @@ impl Flow for Macro3d {
         cfg: &FlowConfig,
         reuse: Option<&mut StageReuse<'_>>,
     ) -> Result<FlowOutcome, FlowError> {
-        let reuse_depth = reuse.as_deref().map_or(0, StageReuse::start_stage);
-        let (implemented, degradation, obs) = run_observed(self.name(), cfg, || {
-            crate::macro3d_flow::implement(tile, cfg, reuse)
-        })?;
-        let mut ppa = PpaResult::from_impl(
-            format!("Macro-3D M{}-M{}", cfg.logic_metals, cfg.macro_metals),
-            &implemented,
-        );
-        // per-die footprint x per-die layer counts
-        ppa.metal_area_mm2 = ppa.footprint_mm2 * (cfg.logic_metals + cfg.macro_metals) as f64;
-        Ok(FlowOutcome {
-            ppa,
-            implemented,
-            diagnostics: None,
-            obs,
-            degradation,
-            reuse_depth,
+        let label = format!("Macro-3D M{}-M{}", cfg.logic_metals, cfg.macro_metals);
+        run_reusing(self.name(), label, true, cfg, reuse, |r| {
+            Ok((crate::macro3d_flow::implement(tile, cfg, r)?, None))
         })
     }
 }

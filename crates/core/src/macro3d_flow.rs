@@ -23,15 +23,11 @@
 //!    (see [`crate::layout`]); the F2F via layer appears in both.
 
 use crate::build_cache::{cached_combined_beol, try_cached_mol_floorplan};
-use crate::error::{flow_gate, FlowError};
-use crate::flow::{
-    area_budget, finish_design, place_pipeline, sta_constraints, FlowConfig, ImplementedDesign,
-    StageTimer,
-};
-use crate::stage::{FloorplanSnap, PlaceSnap, StageReuse};
+use crate::error::FlowError;
+use crate::flow::{implement_direct, FlowConfig, ImplementedDesign};
+use crate::stage::StageReuse;
 use macro3d_geom::Dbu;
-use macro3d_place::floorplan::die_for_area;
-use macro3d_place::{Floorplan, PortPlan};
+use macro3d_place::Floorplan;
 use macro3d_soc::TileNetlist;
 use macro3d_tech::stack::DieRole;
 
@@ -54,102 +50,27 @@ use macro3d_tech::stack::DieRole;
 pub(crate) fn implement(
     tile: &TileNetlist,
     cfg: &FlowConfig,
-    mut reuse: Option<&mut StageReuse<'_>>,
+    reuse: Option<&mut StageReuse<'_>>,
 ) -> Result<ImplementedDesign, FlowError> {
-    let mut timer = StageTimer::new();
-    let constraints = sta_constraints(tile);
-
-    let (design, fp, ports, stack, placement, tree);
-    if let Some(snap) = reuse.as_deref().and_then(StageReuse::place_snap) {
-        // floorplan + placement reused: restore the post-place state
-        // (design already carries repeaters and clock buffers)
-        design = snap.design.clone();
-        fp = snap.fp.clone();
-        ports = snap.ports.clone();
-        stack = snap.stack.clone();
-        placement = snap.placement.clone();
-        tree = snap.tree.clone();
-        timer.mark("floorplan");
-        timer.mark("place_reused");
-    } else {
-        let mut d = tile.design.clone();
-        let budget = area_budget(&d, cfg);
-        let lib = d.library().clone();
-        let die = die_for_area(budget.a3d_um2, 1.0, lib.row_height(), lib.site_width());
+    // Step 3 runs the unmodified 2D P&R over the combined stack, with
+    // macro pins at their true _MD layers.
+    implement_direct(tile, cfg, reuse, 1.0, true, |d, _, die| {
+        let lib = d.library();
         let halo = Dbu::from_um(cfg.halo_um);
+        // Step 1: dual floorplans (the MoL seed is shared with the S2D
+        // and C2D flows through the build cache).
+        let mol = try_cached_mol_floorplan(d, die, halo, cfg.util_macro, cfg.halo_um)?;
 
-        let (fp_c, ports_c, stack_c) = match reuse.as_deref().and_then(StageReuse::floorplan_snap) {
-            Some(snap) => (snap.fp.clone(), snap.ports.clone(), snap.stack.clone()),
-            None => {
-                // Step 1: dual floorplans (the MoL seed is shared with
-                // the S2D and C2D flows through the build cache).
-                flow_gate("flow/floorplan")?;
-                let mol = try_cached_mol_floorplan(&d, die, halo, cfg.util_macro, cfg.halo_um)?;
-                let (top_placements, bottom_placements) = (&mol.0, &mol.1);
-
-                // Step 2: projection — macro-die macros add
-                // pins/obstacles but no placement blockage; logic-die
-                // macros block placement as usual.
-                let mut fp = Floorplan::new(die, lib.row_height(), lib.site_width());
-                for &mp in top_placements {
-                    fp.add_macro(mp, DieRole::Logic, halo);
-                }
-                for &mp in bottom_placements {
-                    fp.add_macro(mp, DieRole::Logic, halo);
-                }
-
-                let combined = cached_combined_beol(cfg.logic_metals, cfg.macro_metals);
-                let ports = PortPlan::assign(&d, die);
-                let stack = combined.stack().clone();
-                if let Some(r) = reuse.as_deref_mut() {
-                    r.store_floorplan(FloorplanSnap {
-                        fp: fp.clone(),
-                        ports: ports.clone(),
-                        stack: stack.clone(),
-                    });
-                }
-                (fp, ports, stack)
-            }
-        };
-        timer.mark("floorplan");
-
-        // Step 3: unmodified 2D P&R over the combined stack.
-        flow_gate("flow/place")?;
-        let (placement_c, tree_c) =
-            place_pipeline(&mut d, &fp_c, &ports_c, &constraints, cfg, &mut timer);
-        if let Some(r) = reuse.as_deref_mut() {
-            r.store_place(PlaceSnap {
-                design: d.clone(),
-                fp: fp_c.clone(),
-                ports: ports_c.clone(),
-                stack: stack_c.clone(),
-                placement: placement_c.clone(),
-                tree: tree_c.clone(),
-            });
+        // Step 2: projection — macro-die macros add pins/obstacles but
+        // no placement blockage; logic-die macros block placement as
+        // usual.
+        let mut fp = Floorplan::new(die, lib.row_height(), lib.site_width());
+        for &mp in mol.0.iter().chain(&mol.1) {
+            fp.add_macro(mp, DieRole::Logic, halo);
         }
-        design = d;
-        fp = fp_c;
-        ports = ports_c;
-        stack = stack_c;
-        placement = placement_c;
-        tree = tree_c;
-    }
-
-    finish_design(
-        design,
-        placement,
-        ports,
-        fp,
-        stack,
-        cfg.logic_metals,
-        tree,
-        constraints,
-        cfg,
-        true, // macro pins at their true _MD layers
-        cfg.sizing_rounds,
-        timer,
-        reuse,
-    )
+        let combined = cached_combined_beol(cfg.logic_metals, cfg.macro_metals);
+        Ok((fp, combined.stack().clone()))
+    })
     // Step 4 (die separation) is available via crate::layout on the
     // returned ImplementedDesign.
 }

@@ -28,12 +28,13 @@
 use crate::build_cache::{cached_combined_beol, cached_stack, try_cached_mol_floorplan};
 use crate::error::{flow_gate, FlowError};
 use crate::flow::{
-    area_budget, finish_design, macro_obstacles, route_pins, sta_constraints, FlowConfig,
-    ImplementedDesign, StageTimer,
+    area_budget, extract_all, finish_design, macro_obstacles, route_pins, signoff_input,
+    sta_constraints, FlowConfig, ImplementedDesign, StageTimer,
 };
 use crate::via_plan::plan_bumps;
 use macro3d_geom::{Dbu, Point, Rect};
 use macro3d_netlist::{Design, InstId, Master, NetId, PinRef};
+use macro3d_par::{checkpoint, note_degradation, Checkpoint};
 use macro3d_place::floorplan::die_for_area;
 use macro3d_place::macro_place::pack_balanced;
 use macro3d_place::partition::{bipartition, FmConfig, Hypergraph};
@@ -41,11 +42,12 @@ use macro3d_place::{legalize, BlockageKind, Floorplan, Placement, PortPlan};
 use macro3d_route::{RouteRequest, Router};
 use macro3d_soc::TileNetlist;
 use macro3d_sta::{
-    analyze_with, clock_arrivals, upsize_critical_path, ClockTree, StaInput, StaMode, StaSession,
+    apply_sizing_to_parasitics, clock_arrivals, upsize_critical_path, ClockTree, StaConstraints,
+    StaSession,
 };
 use macro3d_tech::libgen::n28_library;
-use macro3d_tech::stack::{n28_stack, DieRole, MetalStack};
-use macro3d_tech::{CellClass, Corner, F2fSpec};
+use macro3d_tech::stack::DieRole;
+use macro3d_tech::{Corner, F2fSpec};
 use std::collections::HashSet;
 use std::sync::Arc;
 
@@ -128,117 +130,35 @@ pub(crate) fn implement(
     };
 
     // --- stage 1: shrunk pseudo-2D design -----------------------------
+    let fp_s2d = shrunk_stage_floorplan(
+        &design,
+        die,
+        &macro_placements,
+        halo,
+        Dbu::from_um(cfg.partial_blockage_period_um),
+        1.0,
+    );
     // 50% cell area via a structurally identical half-size library
     let shrunk_lib = Arc::new(n28_library(orig_lib.area_scale() * 0.5));
     design.set_library(shrunk_lib);
-
-    let mut fp_s2d = Floorplan::new(die, orig_lib.row_height(), orig_lib.site_width());
-    for mp in &macro_placements {
-        // each die's macro discounts half the stacked capacity
-        fp_s2d.add_blockage(mp.rect.inflate(halo), BlockageKind::Partial(0.5));
-        fp_s2d.macros.push(*mp);
-    }
-    fp_s2d.quantize_partial_blockages(Dbu::from_um(cfg.partial_blockage_period_um));
 
     let ports = PortPlan::assign(&design, die);
     timer.mark("floorplan");
     flow_gate("flow/place")?;
     let (mut placement, tree) =
         crate::flow::place_pipeline(&mut design, &fp_s2d, &ports, &constraints, cfg, &mut timer);
-
-    // pseudo-2D routing on a single-die stack, macro pins assumed local
-    let stack_2d = cached_stack(cfg.logic_metals, DieRole::Logic);
-    let obstacles = macro_obstacles(
-        &design,
+    pseudo2d_stage1(
+        &mut design,
+        &placement,
+        &ports,
         &fp_s2d,
-        cfg.logic_metals,
-        stack_2d.num_layers(),
-        false,
-    );
-    let nets = route_pins(
-        &design,
-        &placement,
-        &ports,
-        cfg.logic_metals,
-        stack_2d.num_layers(),
-        false,
-    );
-    let routed_stage1 = Router::new(
-        &RouteRequest {
-            die,
-            stack: &stack_2d,
-            obstacles: &obstacles,
-            nets: &nets,
-            num_nets: design.num_nets(),
-        },
-        &cfg.route,
-    )
-    .route();
-    timer.mark("s2d_stage1_route");
-    let mut parasitics = crate::flow::extract_all(
-        &design,
-        &placement,
-        &ports,
-        &stack_2d,
-        &routed_stage1,
+        &tree,
         &constraints,
-        Corner::signoff(),
-        &cfg.parallelism,
+        cfg,
+        1.0,
+        "s2d",
+        &mut timer,
     );
-    let clock_stage1 = clock_arrivals(&design, &tree, &parasitics, Corner::signoff());
-    timer.mark("s2d_stage1_extract");
-
-    // sizing against the stage-1 (mispredicted) parasitics; in
-    // parametric mode one StaSession carries the timing graph across
-    // rounds and re-times only the touched cones
-    let mut session = match cfg.sta_mode {
-        StaMode::Parametric => Some(StaSession::new(&StaInput {
-            design: &design,
-            parasitics: &parasitics,
-            routed: Some(&routed_stage1),
-            constraints: &constraints,
-            clock: &clock_stage1,
-            corner: Corner::signoff(),
-        })),
-        StaMode::Probe => None,
-    };
-    let mut touched: Vec<macro3d_netlist::NetId> = Vec::new();
-    for round in 0..cfg.sizing_rounds {
-        // budget checkpoint: the stage-1 sizing already holds a valid
-        // (mispredicted-parasitics) design, so stopping early is safe
-        if let macro3d_par::Checkpoint::Stop(reason) = macro3d_par::checkpoint("sta/sizing_rounds")
-        {
-            macro3d_par::note_degradation(
-                "sta/sizing_rounds",
-                reason,
-                format!(
-                    "stopped after {round} of {} sizing rounds",
-                    cfg.sizing_rounds
-                ),
-            );
-            break;
-        }
-        let input = StaInput {
-            design: &design,
-            parasitics: &parasitics,
-            routed: Some(&routed_stage1),
-            constraints: &constraints,
-            clock: &clock_stage1,
-            corner: Corner::signoff(),
-        };
-        let t = match &mut session {
-            Some(s) if round > 0 => s.update(&input, &touched, &cfg.parallelism),
-            Some(s) => s.analyze(&input, &cfg.parallelism),
-            None => analyze_with(&input, &cfg.parallelism, StaMode::Probe),
-        };
-        let changes = upsize_critical_path(&mut design, &t);
-        if changes.is_empty() {
-            break;
-        }
-        touched = macro3d_sta::opt::apply_sizing_to_parasitics(&design, &changes, &mut parasitics);
-    }
-
-    timer.mark("s2d_stage1_sizing");
 
     // --- stage 2: unshrink + tier partitioning -------------------------
     design.set_library(orig_lib.clone());
@@ -256,7 +176,7 @@ pub(crate) fn implement(
 
     // --- stage 3: F2F via planning + re-route on the true stack --------
     let combined = cached_combined_beol(cfg.logic_metals, cfg.macro_metals);
-    let fp_final = final_floorplan(&design, die, &macro_placements, halo, &orig_lib);
+    let fp_final = final_floorplan(die, &macro_placements, halo, &orig_lib);
 
     // S2D has no post-partition optimization: sizing_rounds = 0.
     let imp = finish_design(
@@ -277,16 +197,123 @@ pub(crate) fn implement(
     Ok((imp, diag))
 }
 
+/// Stage 1 of the pseudo-2D baselines, shared by S2D and C2D: route
+/// the placed design on the single-die stack with macro pins assumed
+/// in that same BEOL, extract, scale the wire parasitics by
+/// `wire_scale` (1 for S2D; C2D's 1/√2 per-unit-length correction),
+/// then size against those mispredicted parasitics for
+/// `cfg.sizing_rounds` rounds. Only the resized `design` survives:
+/// the stage-1 routes and parasitics are discarded. Stage times land
+/// in `timer` as `{label}_stage1_route`, `_extract` and `_sizing`.
+///
+/// Unlike [`finish_design`]'s loop, the rounds do not stop when the
+/// period fails to improve — only when sizing has nothing left to
+/// change or the budget runs out.
+#[allow(clippy::too_many_arguments)]
+pub(crate) fn pseudo2d_stage1(
+    design: &mut Design,
+    placement: &Placement,
+    ports: &PortPlan,
+    fp: &Floorplan,
+    tree: &ClockTree,
+    constraints: &StaConstraints,
+    cfg: &FlowConfig,
+    wire_scale: f64,
+    label: &str,
+    timer: &mut StageTimer,
+) {
+    let stack_2d = cached_stack(cfg.logic_metals, DieRole::Logic);
+    let obstacles = macro_obstacles(design, fp, cfg.logic_metals, stack_2d.num_layers(), false);
+    let nets = route_pins(
+        design,
+        placement,
+        ports,
+        cfg.logic_metals,
+        stack_2d.num_layers(),
+        false,
+    );
+    let routed = Router::new(
+        &RouteRequest {
+            die: fp.die(),
+            stack: &stack_2d,
+            obstacles: &obstacles,
+            nets: &nets,
+            num_nets: design.num_nets(),
+        },
+        &cfg.route,
+    )
+    .route();
+    timer.mark(&format!("{label}_stage1_route"));
+    let mut parasitics = extract_all(
+        design,
+        placement,
+        ports,
+        &stack_2d,
+        &routed,
+        constraints,
+        Corner::signoff(),
+        &cfg.parallelism,
+    );
+    // per-unit-length scaling of wire R and C (exact at 1.0)
+    for p in &mut parasitics {
+        let old_wire = p.wire_cap_ff;
+        p.wire_cap_ff *= wire_scale;
+        p.total_res_ohm *= wire_scale;
+        for e in &mut p.elmore_ps {
+            *e *= wire_scale * wire_scale;
+        }
+        p.driver_load_ff -= old_wire - p.wire_cap_ff;
+    }
+    let clock = clock_arrivals(design, tree, &parasitics, Corner::signoff());
+    timer.mark(&format!("{label}_stage1_extract"));
+
+    // one StaSession carries the timing graph across rounds and
+    // re-times only the touched cones
+    let mut session = StaSession::new(&signoff_input(
+        design,
+        &parasitics,
+        &routed,
+        constraints,
+        &clock,
+    ));
+    let mut touched: Vec<NetId> = Vec::new();
+    for round in 0..cfg.sizing_rounds {
+        // budget checkpoint: the stage-1 sizing already holds a valid
+        // (mispredicted-parasitics) design, so stopping early is safe
+        if let Checkpoint::Stop(reason) = checkpoint("sta/sizing_rounds") {
+            note_degradation(
+                "sta/sizing_rounds",
+                reason,
+                format!(
+                    "stopped after {round} of {} sizing rounds",
+                    cfg.sizing_rounds
+                ),
+            );
+            break;
+        }
+        let input = signoff_input(design, &parasitics, &routed, constraints, &clock);
+        let t = if round > 0 {
+            session.update(&input, &touched, &cfg.parallelism)
+        } else {
+            session.analyze(&input, &cfg.parallelism)
+        };
+        let changes = upsize_critical_path(design, &t);
+        if changes.is_empty() {
+            break;
+        }
+        touched = apply_sizing_to_parasitics(design, &changes, &mut parasitics);
+    }
+    timer.mark(&format!("{label}_stage1_sizing"));
+}
+
 /// The final per-die floorplan: macros block placement on their own
 /// die only (used for the post-partition legalization and reporting).
-fn final_floorplan(
-    design: &Design,
+pub(crate) fn final_floorplan(
     die: Rect,
     macro_placements: &[macro3d_place::MacroPlacement],
     halo: Dbu,
     lib: &macro3d_tech::CellLibrary,
 ) -> Floorplan {
-    let _ = design;
     let mut fp = Floorplan::new(die, lib.row_height(), lib.site_width());
     for mp in macro_placements {
         fp.add_macro(*mp, DieRole::Logic, halo);
@@ -464,35 +491,30 @@ pub(crate) fn partition_and_finalize(
     }
 }
 
-/// Exposes the shrunk-stage blockage construction for tests.
-pub fn shrunk_stage_floorplan(
+/// The pseudo-2D stage-1 floorplan: every macro, scaled about the
+/// origin by `scale` (1 for S2D's shrunk stage; C2D's enlargement
+/// factor), becomes a 50 % partial blockage — so a position where
+/// both dies hold a macro is fully blocked — quantized to `period`
+/// as the commercial engines' coarse spatial resolution does. The
+/// scaled macros are recorded for routing obstacles.
+pub(crate) fn shrunk_stage_floorplan(
     design: &Design,
     die: Rect,
     macro_placements: &[macro3d_place::MacroPlacement],
     halo: Dbu,
     period: Dbu,
+    scale: f64,
 ) -> Floorplan {
-    let lib = design.library().clone();
+    let lib = design.library();
     let mut fp = Floorplan::new(die, lib.row_height(), lib.site_width());
     for mp in macro_placements {
-        fp.add_blockage(mp.rect.inflate(halo), BlockageKind::Partial(0.5));
+        let mut scaled = *mp;
+        scaled.rect = mp.rect.scale(scale);
+        fp.add_blockage(scaled.rect.inflate(halo), BlockageKind::Partial(0.5));
+        fp.macros.push(scaled);
     }
     fp.quantize_partial_blockages(period);
     fp
-}
-
-/// Returns true when a cell class is a clock buffer (helper for
-/// diagnostics and tests).
-pub fn is_clock_buffer(design: &Design, inst: InstId) -> bool {
-    match design.inst(inst).master {
-        Master::Cell(c) => design.library().cell(c).class == CellClass::ClkBuf,
-        Master::Macro(_) => false,
-    }
-}
-
-/// The 2D stack used by the pseudo-2D stage (exposed for benches).
-pub fn stage1_stack(cfg: &FlowConfig) -> MetalStack {
-    n28_stack(cfg.logic_metals, DieRole::Logic)
 }
 
 #[cfg(test)]
@@ -525,7 +547,7 @@ mod tests {
                 die: DieRole::Macro,
             },
         ];
-        let fp = shrunk_stage_floorplan(&d, die, &placements, Dbu(0), Dbu::from_um(8.0));
+        let fp = shrunk_stage_floorplan(&d, die, &placements, Dbu(0), Dbu::from_um(8.0), 1.0);
         // overlapping 50% blockages sum to a full blockage
         let over_macro = fp.usable_area_um2(Rect::from_origin_size(at, size));
         assert!(
@@ -540,29 +562,5 @@ mod tests {
         // away from the macros the die is free
         let free = fp.usable_area_um2(Rect::from_um(600.0, 600.0, 700.0, 700.0));
         assert!((free - 10_000.0).abs() < 1.0);
-    }
-
-    #[test]
-    fn stage1_stack_matches_logic_metals() {
-        let cfg = FlowConfig {
-            logic_metals: 5,
-            ..FlowConfig::default()
-        };
-        let s = stage1_stack(&cfg);
-        assert_eq!(s.num_layers(), 5);
-        assert!(s.f2f_cut().is_none());
-    }
-
-    #[test]
-    fn clock_buffer_predicate() {
-        let lib = Arc::new(n28_library(1.0));
-        let mut d = Design::new("t", lib.clone());
-        let cb = d.add_cell("cb", lib.clock_buffers()[0]);
-        let inv = d.add_cell(
-            "i",
-            lib.smallest(macro3d_tech::CellClass::Inv).expect("inv"),
-        );
-        assert!(is_clock_buffer(&d, cb));
-        assert!(!is_clock_buffer(&d, inv));
     }
 }

@@ -50,7 +50,7 @@
 //! | place     | `place` (all fields + chunk size), `cts`, `repeater_max_len_um` |
 //! | route     | `route` (all fields + chunk size) |
 //! | extract   | — (inputs fully determined by the prefix) |
-//! | sta       | `sizing_rounds`, `sta_mode` |
+//! | sta       | `sizing_rounds` |
 //!
 //! ¹ `macro_metals` keys the 2D floorplan stage too only through the
 //! base payload ordering below — the 2D flow never reads it, but the
@@ -59,17 +59,23 @@
 //! The pseudo-2D baselines (`MoL S2D`, `BF S2D`, `C2D`) consume the
 //! route/STA knobs *inside* their stage-1 pseudo-2D implementation,
 //! so their "place" super-stage keys additionally include `route`,
-//! `sizing_rounds`, `sta_mode` and `partial_blockage_period_um` —
+//! `sizing_rounds` and `partial_blockage_period_um` —
 //! honest but coarse: for those flows, any late-stage knob change
 //! re-enters at placement, and stage reuse degenerates to what the
 //! spec-level `ResultCache` already provides.
 //!
 //! **Excluded everywhere:** `parallelism.threads` (all three copies)
 //! and `obs`. Results are thread-count-invariant per the `macro3d-par`
-//! contract, so a sweep over `threads` reuses the full prefix;
-//! `chunk_size` *is* keyed because the router's batched negotiation
-//! commits per chunk ("chunk size changes routing results; the thread
-//! count never does").
+//! contract, so a sweep over `threads` reuses the full prefix. The
+//! route and place `chunk_size` copies *are* keyed because the
+//! router's batched negotiation commits per chunk ("chunk size changes
+//! routing results; the thread count never does"); the top-level one
+//! is not, because extract and STA fan out through order-preserving
+//! maps.
+//!
+//! The tables are checked, not trusted: a unit test perturbs every
+//! leaf of the serialized `FlowConfig` and `TileConfig` and asserts
+//! the change moves the key of the first stage that reads it.
 //!
 //! **Safety guard:** stage caching is disabled outright
 //! ([`StageReuse::begin`] returns `None`) when the config carries a
@@ -85,7 +91,7 @@ use macro3d_netlist::Design;
 use macro3d_place::{Floorplan, GlobalPlaceConfig, Placement, PortPlan};
 use macro3d_route::{RouteConfig, RoutedDesign};
 use macro3d_soc::TileConfig;
-use macro3d_sta::{ClockArrivals, ClockTree, StaMode, StaSession};
+use macro3d_sta::{ClockArrivals, ClockTree, StaSession};
 use macro3d_tech::stack::MetalStack;
 use std::sync::Arc;
 
@@ -227,23 +233,18 @@ pub fn stage_keys(flow: &str, tile: &TileConfig, cfg: &FlowConfig) -> StageKeys 
     if pseudo2d {
         // the pseudo-2D stage consumes these before the final P&R
         place_stage.push_str(&format!(
-            ";s1route={};s1sr={};s1mode={:?};pbp={}",
+            ";s1route={};s1sr={};pbp={}",
             route_payload(&cfg.route),
             cfg.sizing_rounds,
-            cfg.sta_mode,
             cfg.partial_blockage_period_um
         ));
     }
-    let sta_mode = match cfg.sta_mode {
-        StaMode::Probe => "probe",
-        StaMode::Parametric => "parametric",
-    };
 
     let k0 = chain(crate::jsonio::fnv1a_64(base.as_bytes()), &floorplan_payload);
     let k1 = chain(k0, &place_stage);
     let k2 = chain(k1, &route_payload(&cfg.route));
     let k3 = chain(k2, "extract");
-    let k4 = chain(k3, &format!("sr={};mode={sta_mode}", cfg.sizing_rounds));
+    let k4 = chain(k3, &format!("sr={}", cfg.sizing_rounds));
     StageKeys {
         prefix: [k0, k1, k2, k3, k4],
     }
@@ -292,17 +293,16 @@ pub struct RouteSnap {
 }
 
 /// Extract-boundary artifacts, stored once the STA stage has built
-/// its session. `session` is the parametric STA session snapshotted
-/// right after graph build (before any analysis), so restoring it is
-/// indistinguishable from building it fresh — `None` when the run
-/// that stored the slot used [`StaMode::Probe`].
+/// its session. `session` is the STA session snapshotted right after
+/// graph build (before any analysis), so restoring it is
+/// indistinguishable from building it fresh.
 pub struct ExtractSnap {
     /// Sign-off-corner parasitics for every net.
     pub parasitics: Vec<NetParasitics>,
     /// Clock arrival times under the extracted tree.
     pub clock: ClockArrivals,
     /// Freshly-built timing session (graph only, no converged state).
-    pub session: Option<StaSession>,
+    pub session: StaSession,
 }
 
 #[derive(Clone)]
@@ -478,6 +478,7 @@ impl<'a> StageReuse<'a> {
 mod tests {
     use super::*;
     use crate::flows::{Flow, Macro3d};
+    use macro3d_json::Json;
     use std::sync::OnceLock;
 
     fn keys(f: impl FnOnce(&mut FlowConfig)) -> StageKeys {
@@ -703,7 +704,6 @@ mod tests {
     fn sta_reentry_leaves_the_extract_slot_alone() {
         let mut cache = cold_cache();
         let before = extract_arc(&cache);
-        assert!(before.session.is_some(), "parametric runs store a session");
         let mut sized = FlowConfig::default();
         sized.sizing_rounds += 1;
         assert_eq!(run_mini(&mut cache, &sized), 4);
@@ -711,5 +711,154 @@ mod tests {
             Arc::ptr_eq(&before, &extract_arc(&cache)),
             "a depth-4 re-entry must not rebuild the extract snapshot"
         );
+    }
+
+    /// Paths (`.`-joined object keys) of every non-object value in
+    /// `json`, in emission order.
+    fn leaves(json: &Json, prefix: &str, out: &mut Vec<String>) {
+        match json {
+            Json::Obj(members) => {
+                for (k, v) in members {
+                    let path = if prefix.is_empty() {
+                        k.clone()
+                    } else {
+                        format!("{prefix}.{k}")
+                    };
+                    leaves(v, &path, out);
+                }
+            }
+            _ => out.push(prefix.to_string()),
+        }
+    }
+
+    /// `json` with the leaf at `path` replaced by a different value
+    /// of a shape its decoder accepts.
+    fn perturbed(json: &Json, path: &str) -> Json {
+        let mut out = json.clone();
+        let mut leaf = &mut out;
+        for key in path.split('.') {
+            let Json::Obj(members) = leaf else {
+                unreachable!("leaf paths only cross objects")
+            };
+            leaf = &mut members.iter_mut().find(|(k, _)| k == key).unwrap().1;
+        }
+        *leaf = match &*leaf {
+            Json::Num(tok) => match tok.parse::<u64>() {
+                Ok(n) => Json::from_u64(n + 1),
+                Err(_) => Json::from_f64(tok.parse::<f64>().unwrap() + 0.5),
+            },
+            Json::Bool(b) => Json::Bool(!b),
+            Json::Str(s) => Json::str(match s.as_str() {
+                "bisection" => "analytical".to_string(),
+                "off" => "summary".to_string(),
+                other => format!("{other}~"),
+            }),
+            _ => match path {
+                "route.f2f_pitch_um" => Json::from_f64(1.5),
+                "budget.wall_clock_ns" => Json::from_u64(3_600_000_000_000),
+                "budget.caps" => Json::Arr(vec![Json::Arr(vec![
+                    Json::str("route/iterations"),
+                    Json::from_u64(1),
+                ])]),
+                "fault_plan" => Json::Arr(vec![Json::Arr(vec![
+                    Json::str("sta/sizing_rounds"),
+                    Json::from_u64(3),
+                    Json::str("exhaust"),
+                ])]),
+                other => panic!("no perturbation for leaf '{other}'"),
+            },
+        };
+        out
+    }
+
+    /// The first stage that reads each `FlowConfig` leaf, or `None`
+    /// for the exclusion list. A new field panics here until it is
+    /// classified.
+    fn first_reader(path: &str, pseudo2d: bool) -> Option<Stage> {
+        // the pseudo-2D stage 1 runs inside the place super-stage and
+        // consumes the route and sizing knobs there
+        let late = |stage| Some(if pseudo2d { Stage::Place } else { stage });
+        match path {
+            // Exclusions. Results are invariant to the thread count
+            // (all three copies), and obs only records.
+            "parallelism.threads"
+            | "route.parallelism.threads"
+            | "place.parallelism.threads"
+            | "obs" => None,
+            // extract and STA fan out through order-preserving maps,
+            // so their chunk size cannot change a result
+            "parallelism.chunk_size" => None,
+            // the fine-grained flows never read it
+            "partial_blockage_period_um" if !pseudo2d => None,
+
+            "logic_metals"
+            | "macro_metals"
+            | "util_logic"
+            | "util_macro"
+            | "halo_um"
+            | "budget.wall_clock_ns"
+            | "budget.caps"
+            | "fault_plan" => Some(Stage::Floorplan),
+            "repeater_max_len_um" | "partial_blockage_period_um" => Some(Stage::Place),
+            p if p.starts_with("place.") || p.starts_with("cts.") => Some(Stage::Place),
+            p if p.starts_with("route.") => late(Stage::Route),
+            "sizing_rounds" => late(Stage::Sta),
+            other => panic!("FlowConfig leaf '{other}' has no declared reader"),
+        }
+    }
+
+    fn assert_first_moved(
+        flow: &str,
+        leaf: &str,
+        base: &StageKeys,
+        moved: &StageKeys,
+        first: Option<Stage>,
+    ) {
+        for s in Stage::all() {
+            if first.is_some_and(|f| s >= f) {
+                assert_ne!(
+                    base.key(s),
+                    moved.key(s),
+                    "{flow}: '{leaf}' must key {}",
+                    s.name()
+                );
+            } else {
+                assert_eq!(
+                    base.key(s),
+                    moved.key(s),
+                    "{flow}: '{leaf}' must not key {}",
+                    s.name()
+                );
+            }
+        }
+    }
+
+    #[test]
+    fn every_config_leaf_keys_the_first_stage_that_reads_it() {
+        let cfg = FlowConfig::default();
+        let tile = TileConfig::mini();
+        let cfg_json = crate::jsonio::flow_config_to_json(&cfg);
+        let tile_json = crate::jsonio::tile_config_to_json(&tile);
+        let (mut cfg_leaves, mut tile_leaves) = (Vec::new(), Vec::new());
+        leaves(&cfg_json, "", &mut cfg_leaves);
+        leaves(&tile_json, "", &mut tile_leaves);
+        assert!(cfg_leaves.len() > 20 && tile_leaves.len() > 10);
+        for flow in ["Macro-3D", "MoL S2D"] {
+            let pseudo2d = flow != "Macro-3D";
+            let base = stage_keys(flow, &tile, &cfg);
+            for leaf in &cfg_leaves {
+                let moved = crate::jsonio::flow_config_from_json(&perturbed(&cfg_json, leaf))
+                    .expect("perturbed config decodes");
+                let keys = stage_keys(flow, &tile, &moved);
+                assert_first_moved(flow, leaf, &base, &keys, first_reader(leaf, pseudo2d));
+            }
+            // every tile field shapes the netlist the floorplan reads
+            for leaf in &tile_leaves {
+                let moved = crate::jsonio::tile_config_from_json(&perturbed(&tile_json, leaf))
+                    .expect("perturbed tile decodes");
+                let keys = stage_keys(flow, &moved, &cfg);
+                assert_first_moved(flow, leaf, &base, &keys, Some(Stage::Floorplan));
+            }
+        }
     }
 }

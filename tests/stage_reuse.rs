@@ -215,7 +215,7 @@ fn random_knob_grids_are_reuse_invariant() {
             base,
             axes: vec![
                 SweepAxis::new("sizing_rounds", &rounds),
-                SweepAxis::new("sta_mode", &["probe", "parametric"]),
+                SweepAxis::new("route_iterations", &["1", "2"]),
             ],
         };
         let (warm, hits) = run_fresh(&sweep, 1, true);
