@@ -13,6 +13,11 @@ cargo clippy --workspace --all-targets -- -D warnings
 echo "==> cargo build --workspace --release"
 cargo build --workspace --release
 
+echo "==> cargo build --release --offline --manifest-path perfbench/Cargo.toml"
+# perfbench is a workspace of its own, so the build above skips it; a
+# public-API change in crates/* must not break the benchmark silently.
+cargo build --release --offline --manifest-path perfbench/Cargo.toml
+
 echo "==> cargo test --workspace -q"
 cargo test --workspace -q
 

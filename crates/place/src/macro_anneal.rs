@@ -91,9 +91,12 @@ fn net_span(design: &Design, net: NetId, pos: &BTreeMap<InstId, Point>, center: 
 /// overlap-free with halo).
 ///
 /// Cost is the macro-net HPWL of [`macro_net_hpwl`], evaluated
-/// through the shared [`HpwlCache`]: each proposal re-evaluates only
-/// the nets incident to the moved macros (delta update, undone on
-/// rejection) instead of recomputing every macro-adjacent net.
+/// through the shared [`HpwlCache`] with the annealed macros as its
+/// movable set: each proposal re-evaluates only the nets incident to
+/// the moved macros (delta update, undone on rejection), and of those
+/// only the annealed macros' pins — every other pin sits still at the
+/// die centre, inside the net's fixed box. A proposal therefore costs
+/// O(macro pins), however many cells hang on a macro's clock net.
 pub fn refine_macros_sa(
     design: &Design,
     placements: &mut [MacroPlacement],
@@ -123,9 +126,8 @@ pub fn refine_macros_sa(
         pos: vec![center; design.num_ports()],
     };
 
-    // macro-adjacent nets: tracked once overall, listed per macro so a
-    // move touches exactly its own nets
-    let mut tracked: BTreeSet<NetId> = BTreeSet::new();
+    // macro-adjacent nets, listed per macro so a move touches exactly
+    // its own nets (the cache tracks a net shared by macros once)
     let nets_of: Vec<Vec<NetId>> = placements
         .iter()
         .map(|mp| {
@@ -138,11 +140,20 @@ pub fn refine_macros_sa(
                 .collect();
             mine.sort_unstable();
             mine.dedup();
-            tracked.extend(mine.iter().copied());
             mine
         })
         .collect();
-    let mut cache = HpwlCache::over_nets(design, &flat, &ports, tracked);
+    let mut annealed = vec![false; design.num_insts()];
+    for mp in placements.iter() {
+        annealed[mp.inst.index()] = true;
+    }
+    let mut cache = HpwlCache::over_nets(
+        design,
+        &flat,
+        &ports,
+        nets_of.iter().flatten().copied(),
+        |pin| matches!(pin, PinRef::Inst { inst, .. } if annealed[inst.index()]),
+    );
 
     let mut cost = cache.total().to_um();
     let t0 = (cost * cfg.t0_frac).max(1.0);
@@ -196,19 +207,19 @@ pub fn refine_macros_sa(
             )
         };
 
-        // apply tentatively
+        // apply tentatively; `a` always moves, `b` only in a swap
         let saved_a = placements[a];
         let saved_b = placements[b];
-        let touched: Vec<NetId> = match proposal {
+        let b_nets: &[NetId] = match proposal {
             Move::Swap(i, j) => {
                 let (pi, pj) = (placements[i].rect.lo, placements[j].rect.lo);
                 placements[i].rect = placements[i].rect.moved_to(pj);
                 placements[j].rect = placements[j].rect.moved_to(pi);
-                nets_of[i].iter().chain(&nets_of[j]).copied().collect()
+                &nets_of[j]
             }
             Move::Nudge(i, to) => {
                 placements[i].rect = placements[i].rect.moved_to(to);
-                nets_of[i].clone()
+                &[]
             }
         };
         flat.pos[placements[a].inst.index()] = placements[a].rect.lo;
@@ -216,7 +227,7 @@ pub fn refine_macros_sa(
 
         let legal = legal_with_halo(placements, die, halo);
         let (new_cost, undo) = if legal {
-            let undo = cache.update_nets(design, &flat, &ports, &touched);
+            let undo = cache.update_nets(design, &flat, &ports, nets_of[a].iter().chain(b_nets));
             (cache.total().to_um(), Some(undo))
         } else {
             (f64::INFINITY, None)
@@ -279,8 +290,23 @@ mod tests {
     use macro3d_sram::MemoryCompiler;
     use macro3d_tech::libgen::n28_library;
     use macro3d_tech::stack::DieRole;
-    use macro3d_tech::PinDir;
+    use macro3d_tech::{CellClass, PinDir};
     use std::sync::Arc;
+
+    /// `refine_macros_sa` on [`clocked_bank_design`]: returned cost
+    /// bits and final macro corners (DBU), recorded with the
+    /// full-rescan cost evaluator.
+    const GOLDEN_COST_BITS: u64 = 0x40c0_2530_8312_6e98; // 8266.379 µm
+    const GOLDEN_LO: [(i64, i64); 8] = [
+        (466932, 93181),
+        (213697, 490140),
+        (36059, 454493),
+        (75003, 93586),
+        (256431, 101293),
+        (437110, 456043),
+        (617925, 484697),
+        (696097, 132119),
+    ];
 
     /// Eight identical banks whose address bus ties them to the die
     /// centre — annealing should not increase the bus HPWL.
@@ -300,6 +326,53 @@ mod tests {
             insts.push(i);
         }
         (d, insts)
+    }
+
+    /// [`banked_design`] with real fanout, like the pre-CTS `clk` of a
+    /// tile: the clock also drives 1000 cells. Each bank's `addr[0]` is
+    /// driven by the next bank's `dout[0]` (so swaps change the cost),
+    /// and its `ce`/`we` share one net with a cell (two pins on one
+    /// macro).
+    fn clocked_bank_design() -> (Design, Vec<InstId>) {
+        let (mut d, insts) = banked_design();
+        let inv = d.library().smallest(CellClass::Inv).expect("inv");
+        let clk = d.net_ids().next().expect("clk");
+        for c in 0..1000 {
+            let cell = d.add_cell(format!("ff{c}"), inv);
+            d.connect(clk, PinRef::inst(cell, 0));
+        }
+        let def = d.macro_master(match d.inst(insts[0]).master {
+            Master::Macro(m) => m,
+            Master::Cell(_) => unreachable!("banks are macros"),
+        });
+        let pin = |name: &str| def.pins.iter().position(|p| p.name == name).expect(name) as u16;
+        let (ce, we, addr0, dout0) = (pin("ce"), pin("we"), pin("addr[0]"), pin("dout[0]"));
+        for (b, &i) in insts.iter().enumerate() {
+            let ctl = d.add_net(format!("ctl{b}"));
+            d.connect(ctl, PinRef::inst(i, ce));
+            d.connect(ctl, PinRef::inst(i, we));
+            let drv = d.add_cell(format!("ctl_drv{b}"), inv);
+            d.connect(ctl, PinRef::inst(drv, 1));
+            let addr = d.add_net(format!("addr{b}"));
+            d.connect(addr, PinRef::inst(i, addr0));
+            d.connect(addr, PinRef::inst(insts[(b + 1) % insts.len()], dout0));
+        }
+        (d, insts)
+    }
+
+    #[test]
+    fn anneal_golden_with_real_fanout() {
+        let (d, insts) = clocked_bank_design();
+        let die = Rect::from_um(0.0, 0.0, 900.0, 900.0);
+        let halo = Dbu::from_um(2.0);
+        let mut p = pack_shelves(&d, &insts, die, halo, DieRole::Macro).expect("fits");
+        let cost = refine_macros_sa(&d, &mut p, die, halo, &AnnealConfig::default());
+        let got: Vec<(i64, i64)> = p
+            .iter()
+            .map(|mp| (mp.rect.lo.x.0, mp.rect.lo.y.0))
+            .collect();
+        assert_eq!(cost.to_bits(), GOLDEN_COST_BITS, "{cost}");
+        assert_eq!(got, GOLDEN_LO);
     }
 
     #[test]

@@ -5,9 +5,9 @@
 //!
 //! * [`SearchShared`] — immutable per-design constants (grid shape,
 //!   layer directions, via costs, heuristic floors). Built once per
-//!   session and shared across workers behind an `Arc`; the
-//!   first-generation router cloned these vectors into every worker
-//!   on every chunk.
+//!   session and owned by the router; parallel chunks borrow it, so
+//!   no worker copies it. The first-generation router cloned these
+//!   vectors into every worker on every chunk.
 //! * [`SearchScratch`] — the mutable per-worker state (distance /
 //!   parent / stamp arrays and the open heap), recycled through a
 //!   [`ScratchPool`] so repeated chunks and repeated `update()` calls
