@@ -26,11 +26,19 @@ use macro3d_soc::{generate_tile, TileConfig, TileNetlist};
 use macro3d_tech::stack::{n28_stack, DieRole};
 
 /// `MACRO3D_BENCH_SMOKE=1`: quick CI variant.
+#[allow(
+    clippy::disallowed_methods,
+    reason = "criterion owns the bench binary's CLI; ci.sh selects the smoke variant by env"
+)]
 fn smoke() -> bool {
     std::env::var_os("MACRO3D_BENCH_SMOKE").is_some()
 }
 
 /// `MACRO3D_BENCH_ONLY=a,b`: run only the named bench functions.
+#[allow(
+    clippy::disallowed_methods,
+    reason = "criterion owns the bench binary's CLI; ci.sh selects benches by env"
+)]
 fn bench_enabled(name: &str) -> bool {
     match std::env::var("MACRO3D_BENCH_ONLY") {
         Ok(only) if !only.is_empty() => only.split(',').any(|p| p.trim() == name),

@@ -161,14 +161,11 @@ impl BuildCache {
 /// One branch when observability is off; lookups already take the
 /// cache mutex, so the registry lookup on the slow path is in budget.
 fn record_obs(key: &str, hit: bool) {
-    if !macro3d_obs::enabled(macro3d_obs::ObsLevel::Summary) {
-        return;
-    }
-    let kind = key.split('/').next().unwrap_or(key);
-    let outcome = if hit { "hits" } else { "misses" };
-    macro3d_obs::registry()
-        .counter(&format!("cache/{kind}/{outcome}"))
-        .inc();
+    macro3d_obs::with_metrics(|m| {
+        let kind = key.split('/').next().unwrap_or(key);
+        let outcome = if hit { "hits" } else { "misses" };
+        m.add(&format!("cache/{kind}/{outcome}"), 1);
+    });
 }
 
 /// The process-wide cache every flow helper below goes through.

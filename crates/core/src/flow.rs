@@ -494,8 +494,7 @@ impl std::fmt::Display for StageTimes {
 }
 
 /// Records wall-clock per flow stage. [`StageTimer::mark`] closes the
-/// stage that ran since the previous mark (or construction); under
-/// `MACRO3D_VERBOSE` each mark also prints a progress line.
+/// stage that ran since the previous mark (or construction).
 ///
 /// Internally each stage is a `macro3d-obs` span: `new` opens an
 /// unnamed span, `mark` closes it under the stage name and opens the
@@ -534,9 +533,6 @@ impl StageTimer {
     pub fn mark(&mut self, stage: &str) {
         let dt = self.last.elapsed();
         self.last = Instant::now();
-        if std::env::var_os("MACRO3D_VERBOSE").is_some() {
-            eprintln!("  [stage] {stage}: {dt:?}");
-        }
         if let Some(span) = self.span.take() {
             span.0.finish_named(stage);
         }
@@ -556,6 +552,11 @@ impl Default for StageTimer {
         Self::new()
     }
 }
+
+/// Cells the base and ECO legalizations of [`place_pipeline`] left
+/// without a legal slot.
+static LEGALIZE_FAILED: macro3d_obs::SiteCounter =
+    macro3d_obs::SiteCounter::new("place/legalize_failed");
 
 /// The placement pipeline shared by the direct flows: global place →
 /// repeater insertion → CTS → legalization. Returns the clock tree.
@@ -584,12 +585,6 @@ pub fn place_pipeline(
             macro3d_place::legalize_abacus(design, fp, &mut placement, &base_cells)
         }
     };
-    if std::env::var_os("MACRO3D_VERBOSE").is_some() {
-        eprintln!(
-            "  [legalize base] failed={} mean_disp={:.1}um",
-            base_rep.failed, base_rep.mean_disp_um
-        );
-    }
 
     let mut skip: HashSet<NetId> = HashSet::new();
     skip.insert(constraints.clock_net);
@@ -619,13 +614,7 @@ pub fn place_pipeline(
         &new_cells,
         &base_cells,
     );
-    if std::env::var_os("MACRO3D_VERBOSE").is_some() {
-        eprintln!(
-            "  [legalize eco] failed={} of {}",
-            eco_rep.failed,
-            new_cells.len()
-        );
-    }
+    LEGALIZE_FAILED.add((base_rep.failed + eco_rep.failed) as u64);
 
     // one greedy detailed-placement pass (same-row swaps) over every
     // placed cell — buffers included, so repacking can't stomp them

@@ -57,11 +57,11 @@ pub struct FlowOutcome {
 
 /// Runs `body` inside an obs session named after the flow, with the
 /// config's budget (and fault plan) installed for the flow thread.
-/// The obs level and metrics registry are process-global, so flows
-/// must run one at a time (they always have: every driver iterates
-/// [`standard_flows`] serially). The obs session and budget scope are
-/// torn down on the error path too, so a failed flow never leaks
-/// global state into the next run.
+/// Both are scoped to this run on the calling thread (and the workers
+/// its parallel regions fork), so flows on other threads — a DSE
+/// service's concurrent jobs — never touch this run's trace. The obs
+/// session and budget scope are torn down on the error path too, so
+/// a failed flow never leaks its state into the thread's next run.
 fn run_observed<T>(
     name: &str,
     cfg: &FlowConfig,

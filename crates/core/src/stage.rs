@@ -117,7 +117,7 @@ pub enum Stage {
 }
 
 impl Stage {
-    /// Stable stage label (obs counters, telemetry, docs).
+    /// Stable stage label (telemetry, docs).
     pub fn name(self) -> &'static str {
         match self {
             Stage::Floorplan => "floorplan",
@@ -334,12 +334,6 @@ impl StageCache {
     }
 }
 
-// obs counters: reuse accounting per worker-run
-static REUSE_RUNS: macro3d_obs::SiteCounter = macro3d_obs::SiteCounter::new("stage/reuse_runs");
-static REUSE_DEPTH: macro3d_obs::SiteCounter = macro3d_obs::SiteCounter::new("stage/reuse_depth");
-static STAGE_HITS: macro3d_obs::SiteCounter = macro3d_obs::SiteCounter::new("stage/hits");
-static STAGE_MISSES: macro3d_obs::SiteCounter = macro3d_obs::SiteCounter::new("stage/misses");
-
 /// One run's view of a [`StageCache`]: the expected chained keys plus
 /// the matched prefix depth. Created per job by [`StageReuse::begin`]
 /// and threaded through the flow as `Option<&mut StageReuse>`.
@@ -352,8 +346,7 @@ pub struct StageReuse<'a> {
 impl<'a> StageReuse<'a> {
     /// Prepares reuse for one run, or `None` when stage caching is
     /// unsafe for this config (active budget or fault plan — see the
-    /// module docs). Computes the matched prefix depth up front and
-    /// bumps the obs counters.
+    /// module docs). Computes the matched prefix depth up front.
     pub fn begin(
         cache: &'a mut StageCache,
         flow: &str,
@@ -379,10 +372,6 @@ impl<'a> StageReuse<'a> {
         for slot in &mut cache.slots[start..] {
             *slot = None;
         }
-        REUSE_RUNS.inc();
-        REUSE_DEPTH.add(start as u64);
-        STAGE_HITS.add(start as u64);
-        STAGE_MISSES.add((NUM_STAGES - start) as u64);
         Some(StageReuse { cache, keys, start })
     }
 

@@ -21,10 +21,9 @@
 //!   the `Arc`'d result (marked `cache_hit`). A leader *failure*
 //!   propagates to its followers and is not cached, so a later
 //!   resubmit retries.
-//! * **Observability stays coherent.** The obs registry is
-//!   process-global, so workers take the [`macro3d_obs::session_permit`]
-//!   around obs-*enabled* jobs; obs-off jobs (sessions inert) run
-//!   fully concurrently.
+//! * **Each trace describes its own job.** A job's obs session records
+//!   into a recorder scoped to that run, so traced and untraced jobs
+//!   all run concurrently and no job's counts reach another's trace.
 
 use crate::cache::{CacheStats, CachedResult, ResultCache};
 use crate::{flow_by_name, JobSpec};
@@ -611,8 +610,7 @@ fn run_one(
 }
 
 /// The cold path: generate the tile and run the flow, isolated by
-/// `catch_unwind` and serialized against other obs-enabled jobs. The
-/// worker's stage cache (when enabled) lets the flow re-enter after
+/// `catch_unwind`. The worker's stage cache (when enabled) lets the flow re-enter after
 /// its longest key-matched stage prefix; a panic mid-run is safe —
 /// cache slots are only written at completed stage boundaries.
 fn execute_flow(
@@ -622,13 +620,6 @@ fn execute_flow(
     stage_cache: &mut macro3d::StageCache,
 ) -> Result<Arc<JobResult>, String> {
     let flow = flow_by_name(&spec.flow).ok_or_else(|| format!("unknown flow '{}'", spec.flow))?;
-    // the obs registry/level are process-global: hold the process's
-    // one session permit for the whole obs-enabled execution
-    let _obs_permit = if spec.config.obs.is_off() {
-        None
-    } else {
-        Some(macro3d_obs::session_permit())
-    };
     inner.flows_executed.fetch_add(1, Ordering::Relaxed);
     let stage_reuse = inner.cfg.stage_reuse;
     let started = Instant::now();

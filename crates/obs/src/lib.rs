@@ -4,25 +4,29 @@
 //!
 //! # Design
 //!
-//! A [`Session`] brackets one flow run. While it is active, a global
-//! [`ObsLevel`] gates every instrumentation site behind one relaxed
-//! atomic load, so `ObsConfig::off()` costs a branch per site:
+//! A [`Session`] brackets one flow run. It creates the run's
+//! *recorder* — its [`ObsLevel`] and a fresh metrics [`Registry`] —
+//! and installs it in a thread-local on the calling thread; every
+//! instrumentation site on that thread records into it, and
+//! [`Session::finish`] takes it out again. Sites elsewhere see no
+//! recorder and record nothing, so each run's trace holds its own
+//! counts only, however many runs share the process:
 //!
 //! - [`ObsLevel::Off`] — nothing is recorded.
 //! - [`ObsLevel::Summary`] — stage spans and metrics.
 //! - [`ObsLevel::Full`] — adds fine-grained engine spans (per-level
 //!   bisection, per-rip-up-round routing).
 //!
-//! Spans are collected per thread and stitched deterministically at
-//! fork-join boundaries (see [`span`], [`fork`], [`ForkPoint`]):
-//! branches are keyed by their position in the *work decomposition*
-//! (chunk start index, join arm), never by thread, so the stitched
-//! tree — and every metric — is bit-identical for any thread count,
-//! matching the `macro3d-par` determinism contract.
+//! With no recorder a site costs one thread-local load and a branch.
 //!
-//! Exactly one session may be active in a process at a time (the
-//! level and registry are global); the flow drivers in `macro3d`
-//! uphold this by running flows sequentially.
+//! Parallel work reaches the recorder through the fork/branch/join
+//! protocol (see [`span`], [`fork`], [`ForkPoint`]): a fork point
+//! carries the forking thread's recorder, and each branch installs it
+//! on the thread that runs the branch. At [`ObsLevel::Full`] branches
+//! also collect span forests keyed by their position in the *work
+//! decomposition* (chunk start index, join arm), never by thread, so
+//! the stitched tree — and every metric — is bit-identical for any
+//! thread count, matching the `macro3d-par` determinism contract.
 //!
 //! # Examples
 //!
@@ -32,7 +36,7 @@
 //! let session = Session::start(ObsConfig::full(), "demo");
 //! {
 //!     let _stage = macro3d_obs::span("place");
-//!     macro3d_obs::registry().counter("place/fm_passes").add(3);
+//!     macro3d_obs::with_metrics(|m| m.add("place/fm_passes", 3));
 //! }
 //! let trace = session.finish().expect("tracing was on");
 //! assert_eq!(trace.stage_names(), ["place"]);
@@ -44,15 +48,13 @@ mod metrics;
 mod span;
 
 pub use export::FlowTrace;
-pub use metrics::{
-    registry, Counter, Gauge, HistSnapshot, Histogram, MetricsSnapshot, Registry, Series,
-    SiteCounter, SiteHistogram,
-};
+pub use metrics::{HistSnapshot, MetricsSnapshot, Registry, SiteCounter, SiteHistogram};
 pub use span::{
     fork, span, span_owned, stage_begin, BranchGuard, ForkPoint, SpanGuard, SpanRecord,
 };
 
-use std::sync::atomic::{AtomicU8, Ordering};
+use std::cell::{Cell, RefCell};
+use std::sync::Arc;
 
 /// How much a [`Session`] records.
 #[derive(Clone, Copy, Debug, Default, PartialEq, Eq, PartialOrd, Ord)]
@@ -67,13 +69,53 @@ pub enum ObsLevel {
     Full = 2,
 }
 
-static LEVEL: AtomicU8 = AtomicU8::new(ObsLevel::Off as u8);
+/// One run's recording state, shared by every thread working for it.
+pub(crate) struct Recorder {
+    pub(crate) level: ObsLevel,
+    metrics: Registry,
+}
 
-/// True when the active session records at least `min`. One relaxed
-/// atomic load — cheap enough for hot engine loops.
+thread_local! {
+    /// The level of the recorder in `RECORDER`, copied out so the
+    /// off-path check is a single thread-local load.
+    static THREAD_LEVEL: Cell<ObsLevel> = const { Cell::new(ObsLevel::Off) };
+    static RECORDER: RefCell<Option<Arc<Recorder>>> = const { RefCell::new(None) };
+}
+
+/// Makes `recorder` the calling thread's recorder and returns the one
+/// it replaces.
+pub(crate) fn install(recorder: Option<Arc<Recorder>>) -> Option<Arc<Recorder>> {
+    THREAD_LEVEL.set(recorder.as_ref().map_or(ObsLevel::Off, |r| r.level));
+    RECORDER.replace(recorder)
+}
+
+/// The calling thread's recorder, if its run records anything.
+pub(crate) fn current() -> Option<Arc<Recorder>> {
+    if enabled(ObsLevel::Summary) {
+        RECORDER.with_borrow(Option::clone)
+    } else {
+        None
+    }
+}
+
+/// True when the calling thread's run records at least `min`. One
+/// thread-local load — cheap enough for hot engine loops.
 #[inline]
 pub fn enabled(min: ObsLevel) -> bool {
-    LEVEL.load(Ordering::Relaxed) >= min as u8
+    THREAD_LEVEL.get() >= min
+}
+
+/// Runs `f` on the calling thread's run registry when that run
+/// records metrics ([`ObsLevel::Summary`] or above); otherwise does
+/// nothing and returns `None`. For metrics whose name is built at run
+/// time or that are not counters; fixed-name counters use a
+/// [`SiteCounter`].
+#[inline]
+pub fn with_metrics<R>(f: impl FnOnce(&Registry) -> R) -> Option<R> {
+    if !enabled(ObsLevel::Summary) {
+        return None;
+    }
+    RECORDER.with_borrow(|r| r.as_ref().map(|r| f(&r.metrics)))
 }
 
 /// Observability settings threaded through `FlowConfig`.
@@ -132,97 +174,71 @@ macro_rules! span_full {
 /// One flow run's recording session. Start it before the flow's first
 /// stage, finish it after the last; [`Session::finish`] returns the
 /// stitched [`FlowTrace`] (or `None` when the config was off).
+/// Sessions do not nest: one thread runs one session at a time.
 pub struct Session {
     flow: String,
     root: Option<SpanGuard>,
-    active: bool,
+    recorder: Option<Arc<Recorder>>,
 }
 
 impl Session {
-    /// Starts a session for `flow`: sets the global level, zeroes the
-    /// metrics registry, and opens the root span. Inert when
+    /// Starts a session for `flow`: installs a fresh recorder on the
+    /// calling thread and opens the root span. Inert when
     /// `cfg.is_off()`.
     pub fn start(cfg: ObsConfig, flow: &str) -> Session {
-        if cfg.is_off() {
-            return Session {
-                flow: flow.to_owned(),
-                root: None,
-                active: false,
-            };
-        }
-        LEVEL.store(cfg.level as u8, Ordering::Relaxed);
-        metrics::registry().reset();
-        span::reset_thread();
-        let root = span::open_unchecked(format!("flow:{flow}"));
-        Session {
+        let mut session = Session {
             flow: flow.to_owned(),
-            root: Some(root),
-            active: true,
+            root: None,
+            recorder: None,
+        };
+        if !cfg.is_off() {
+            let recorder = Arc::new(Recorder {
+                level: cfg.level,
+                metrics: Registry::default(),
+            });
+            install(Some(Arc::clone(&recorder)));
+            span::reset_thread();
+            session.root = Some(span::open_unchecked(format!("flow:{flow}")));
+            session.recorder = Some(recorder);
         }
+        session
     }
 
-    /// Ends the session: closes the root span, turns the level off,
-    /// and returns the trace (`None` for an inert session). Must run
-    /// on the thread that called [`Session::start`].
+    /// Ends the session: closes the root span, takes the recorder off
+    /// the thread, and returns the trace (`None` for an inert
+    /// session). Must run on the thread that called
+    /// [`Session::start`].
     pub fn finish(mut self) -> Option<FlowTrace> {
-        if !self.active {
-            return None;
-        }
+        let recorder = self.recorder.take()?;
         drop(self.root.take());
-        LEVEL.store(ObsLevel::Off as u8, Ordering::Relaxed);
+        install(None);
         let spans = span::cleanup(span::take_thread());
         Some(FlowTrace {
             flow: std::mem::take(&mut self.flow),
             spans,
-            metrics: metrics::registry().snapshot(),
+            metrics: recorder.metrics.snapshot(),
         })
     }
 }
 
-/// Process-wide exclusivity token for observability sessions.
-///
-/// The level, metrics registry and span store behind [`Session`] are
-/// global: two concurrent obs-*enabled* sessions would interleave
-/// their traces. Single-flow callers never notice (one flow, one
-/// session), but a multi-tenant host like the DSE executor runs many
-/// flows at once — it takes a permit around each obs-enabled job so
-/// enabled sessions serialize while obs-off jobs (whose sessions are
-/// inert) keep running concurrently.
-pub struct SessionPermit {
-    _guard: std::sync::MutexGuard<'static, ()>,
-}
-
-static SESSION_PERMIT: std::sync::Mutex<()> = std::sync::Mutex::new(());
-
-/// Blocks until this thread holds the process's one observability
-/// permit; the permit releases on drop. A panic while holding the
-/// permit poisons nothing user-visible — the next caller recovers the
-/// lock.
-pub fn session_permit() -> SessionPermit {
-    SessionPermit {
-        _guard: SESSION_PERMIT
-            .lock()
-            .unwrap_or_else(std::sync::PoisonError::into_inner),
+impl Drop for Session {
+    /// An unfinished session (a flow that panicked) still takes its
+    /// recorder off the thread, so the thread's next run starts clean.
+    fn drop(&mut self) {
+        if self.recorder.take().is_some() {
+            drop(self.root.take());
+            install(None);
+            span::reset_thread();
+        }
     }
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
-    use std::sync::Mutex;
-
-    /// The level and registry are global, and `cargo test` runs the
-    /// `#[test]` fns of one binary on parallel threads — serialize
-    /// every test that opens a session.
-    static SESSION_LOCK: Mutex<()> = Mutex::new(());
-
-    fn lock() -> std::sync::MutexGuard<'static, ()> {
-        SESSION_LOCK.lock().unwrap_or_else(|e| e.into_inner())
-    }
 
     #[test]
     fn off_session_records_nothing() {
-        let _l = lock();
         let session = Session::start(ObsConfig::off(), "noop");
         let _span = span("invisible");
         assert!(_span.is_none());
@@ -231,7 +247,6 @@ mod tests {
 
     #[test]
     fn nested_spans_form_a_tree() {
-        let _l = lock();
         let session = Session::start(ObsConfig::full(), "t");
         {
             let _a = span("a");
@@ -247,7 +262,6 @@ mod tests {
 
     #[test]
     fn summary_level_skips_full_spans() {
-        let _l = lock();
         let session = Session::start(ObsConfig::summary(), "t");
         assert!(span("fine").is_none());
         let stage = stage_begin().expect("summary records stages");
@@ -258,7 +272,6 @@ mod tests {
 
     #[test]
     fn dropped_unnamed_span_is_cancelled_and_children_reparent() {
-        let _l = lock();
         let session = Session::start(ObsConfig::full(), "t");
         {
             let _pending = stage_begin();
@@ -272,7 +285,6 @@ mod tests {
     /// threads, and regardless of completion order.
     #[test]
     fn fork_join_stitches_deterministically() {
-        let _l = lock();
         let run = |threaded: bool| {
             let session = Session::start(ObsConfig::full(), "t");
             {
@@ -311,42 +323,104 @@ mod tests {
     }
 
     #[test]
-    fn metrics_reset_keeps_handles_valid() {
-        let _l = lock();
-        let c = registry().counter("test/keeps_handle");
-        c.add(7);
-        assert_eq!(c.get(), 7);
-        registry().reset();
-        assert_eq!(c.get(), 0, "reset zeroes but does not remove");
-        c.add(2);
-        assert_eq!(registry().counter("test/keeps_handle").get(), 2);
-    }
-
-    #[test]
     fn histogram_tracks_bounds() {
-        let h = registry().histogram("test/hist_bounds");
-        h.record(5);
-        h.record(1);
-        h.record(9);
-        let m = registry().snapshot();
-        let snap = m.histograms["test/hist_bounds"];
+        let session = Session::start(ObsConfig::summary(), "t");
+        for v in [5, 1, 9] {
+            with_metrics(|m| m.record("test/hist_bounds", v));
+        }
+        let snap = session.finish().expect("on").metrics.histograms["test/hist_bounds"];
         assert_eq!((snap.count, snap.sum, snap.min, snap.max), (3, 15, 1, 9));
         assert_eq!(snap.mean(), 5.0);
     }
 
+    /// Sites record nothing outside a session, and a session lists
+    /// only the instruments it touched itself.
+    #[test]
+    fn a_session_lists_only_its_own_instruments() {
+        static SITE: SiteCounter = SiteCounter::new("test/site");
+        SITE.add(5);
+        with_metrics(|m| m.add("test/stray", 1));
+        let first = Session::start(ObsConfig::summary(), "t");
+        SITE.add(2);
+        with_metrics(|m| m.set("test/gauge", 1.5));
+        let m = first.finish().expect("on").metrics;
+        assert_eq!(m.counters.len(), 1);
+        assert_eq!(m.counters["test/site"], 2);
+        assert_eq!(m.gauges["test/gauge"], 1.5);
+        SITE.add(7);
+        let second = Session::start(ObsConfig::summary(), "t");
+        let m = second.finish().expect("on").metrics;
+        assert_eq!(m, MetricsSnapshot::default());
+    }
+
+    /// Two sessions on two threads at once: each trace holds exactly
+    /// its own counters and spans, including the work its fork
+    /// branches did on other threads.
+    #[test]
+    fn concurrent_sessions_on_two_threads_stay_apart() {
+        static WORK: SiteCounter = SiteCounter::new("test/work");
+        let barrier = std::sync::Barrier::new(2);
+        let run = |name: &str, n: u64| {
+            let session = Session::start(ObsConfig::full(), name);
+            {
+                let _stage = span_owned(format!("stage-{name}"));
+                let fp = fork();
+                std::thread::scope(|scope| {
+                    for key in 0..2u64 {
+                        let fp = &fp;
+                        scope.spawn(move || {
+                            let _b = fp.branch(key);
+                            let _s = span_full!("work{key}");
+                            WORK.add(n);
+                        });
+                    }
+                });
+                fp.join();
+                // both sessions are open here, so every count above
+                // raced the other thread's
+                barrier.wait();
+                for _ in 0..1000 {
+                    WORK.add(n);
+                }
+                with_metrics(|m| m.add(&format!("test/only-{name}"), 1));
+                barrier.wait();
+            }
+            session.finish().expect("on")
+        };
+        let (a, b) = std::thread::scope(|scope| {
+            let a = scope.spawn(|| run("a", 1));
+            let b = scope.spawn(|| run("b", 1000));
+            (a.join().expect("a"), b.join().expect("b"))
+        });
+        for (trace, name, n) in [(&a, "a", 1u64), (&b, "b", 1000)] {
+            let counters: Vec<_> = trace.metrics.counters.iter().collect();
+            let only = format!("test/only-{name}");
+            assert_eq!(
+                counters,
+                [(&only, &1), (&"test/work".to_owned(), &(1002 * n))],
+                "trace {name}"
+            );
+            assert_eq!(
+                trace.tree_signature(),
+                format!("flow:{name}\n  stage-{name}\n    work0\n    work1\n"),
+            );
+        }
+    }
+
     #[test]
     fn exports_are_valid_and_deterministic() {
-        let _l = lock();
         let session = Session::start(ObsConfig::full(), "ex");
         {
             let _s = span("stage \"quoted\"\n");
-            registry().counter("cache/tile/hits").add(3);
-            registry().counter("cache/tile/misses").add(1);
-            registry().counter("place/anneal_proposals").add(10);
-            registry().counter("place/anneal_accepts").add(4);
-            registry().gauge("sta/cts_levels").set(3.0);
-            registry().series("route/overflow").push(12.0);
-            registry().series("route/overflow").push(0.5);
+            with_metrics(|m| {
+                m.add("cache/tile/hits", 3);
+                m.add("cache/tile/misses", 1);
+                m.add("place/anneal_proposals", 10);
+                m.add("place/anneal_accepts", 4);
+                m.set("sta/cts_levels", 3.0);
+                m.push("route/overflow", 12.0);
+                m.push("route/overflow", 0.5);
+            });
         }
         let trace = session.finish().expect("on");
         let chrome = trace.chrome_trace_json();

@@ -1,98 +1,19 @@
-//! Typed metrics registry: counters, gauges, histograms, series.
+//! Per-run metrics registry: counters, gauges, histograms, series.
 //!
-//! Handles are cheap `Arc`-backed clones recording through atomics,
-//! so hot engine loops pay one relaxed atomic op per event — and only
-//! a relaxed load + branch when observability is off. All exported
-//! values are either integers or deterministic functions of them, so
-//! snapshots are bit-identical across thread counts as long as
+//! Every [`crate::Session`] owns a fresh [`Registry`], reached from
+//! the run's threads through [`crate::with_metrics`]. Recording takes
+//! the registry's lock, so it is safe from parallel workers. All
+//! exported values are integers or deterministic functions of them,
+//! so snapshots are bit-identical across thread counts as long as
 //! recording sites fire a thread-count-independent set of events
-//! (counters are commutative sums; gauges and series must only be
-//! written from serial sections).
+//! (counters and histograms are commutative; gauges and series must
+//! only be written from serial sections).
 
 use std::collections::BTreeMap;
-use std::sync::atomic::{AtomicU64, Ordering};
-use std::sync::{Arc, Mutex, OnceLock};
+use std::sync::{Mutex, PoisonError};
 
-/// Monotonic `u64` counter.
-#[derive(Clone)]
-pub struct Counter(Arc<AtomicU64>);
-
-impl Counter {
-    /// Adds `n`. Safe from any thread (commutative).
-    #[inline]
-    pub fn add(&self, n: u64) {
-        self.0.fetch_add(n, Ordering::Relaxed);
-    }
-
-    /// Adds one.
-    #[inline]
-    pub fn inc(&self) {
-        self.add(1);
-    }
-
-    /// Current value.
-    pub fn get(&self) -> u64 {
-        self.0.load(Ordering::Relaxed)
-    }
-}
-
-/// Last-write-wins `f64` gauge. Set only from serial sections to keep
-/// snapshots deterministic.
-#[derive(Clone)]
-pub struct Gauge(Arc<AtomicU64>);
-
-impl Gauge {
-    /// Stores `v`.
-    #[inline]
-    pub fn set(&self, v: f64) {
-        self.0.store(v.to_bits(), Ordering::Relaxed);
-    }
-
-    /// Current value.
-    pub fn get(&self) -> f64 {
-        f64::from_bits(self.0.load(Ordering::Relaxed))
-    }
-}
-
-struct HistInner {
-    count: AtomicU64,
-    sum: AtomicU64,
-    min: AtomicU64,
-    max: AtomicU64,
-}
-
-/// `u64` histogram tracking count/sum/min/max. Safe from any thread
-/// (every component is commutative).
-#[derive(Clone)]
-pub struct Histogram(Arc<HistInner>);
-
-impl Histogram {
-    /// Records one observation.
-    #[inline]
-    pub fn record(&self, v: u64) {
-        self.0.count.fetch_add(1, Ordering::Relaxed);
-        self.0.sum.fetch_add(v, Ordering::Relaxed);
-        self.0.min.fetch_min(v, Ordering::Relaxed);
-        self.0.max.fetch_max(v, Ordering::Relaxed);
-    }
-
-    fn snapshot(&self) -> HistSnapshot {
-        let count = self.0.count.load(Ordering::Relaxed);
-        HistSnapshot {
-            count,
-            sum: self.0.sum.load(Ordering::Relaxed),
-            min: if count == 0 {
-                0
-            } else {
-                self.0.min.load(Ordering::Relaxed)
-            },
-            max: self.0.max.load(Ordering::Relaxed),
-        }
-    }
-}
-
-/// Point-in-time view of a [`Histogram`].
-#[derive(Clone, Copy, Debug, PartialEq, Eq)]
+/// Summary of a `u64` histogram: count/sum/min/max.
+#[derive(Clone, Copy, Debug, Default, PartialEq, Eq)]
 pub struct HistSnapshot {
     /// Number of observations.
     pub count: u64,
@@ -115,179 +36,9 @@ impl HistSnapshot {
     }
 }
 
-/// Append-only `f64` time series (e.g. router overflow per rip-up
-/// round). Push only from serial sections — appends take a mutex and
-/// order would otherwise depend on scheduling.
-#[derive(Clone)]
-pub struct Series(Arc<Mutex<Vec<f64>>>);
-
-impl Series {
-    /// Appends one sample.
-    pub fn push(&self, v: f64) {
-        self.0
-            .lock()
-            .unwrap_or_else(std::sync::PoisonError::into_inner)
-            .push(v);
-    }
-
-    /// Copies out the samples recorded so far.
-    pub fn values(&self) -> Vec<f64> {
-        self.0
-            .lock()
-            .unwrap_or_else(std::sync::PoisonError::into_inner)
-            .clone()
-    }
-}
-
-/// The process-wide metrics registry (see [`registry`]).
-///
-/// Instruments are created on first use and *never removed*:
-/// [`Registry::reset`] zeroes values so cached handles (e.g. in
-/// [`SiteCounter`] statics) stay valid across flow sessions.
-#[derive(Default)]
-pub struct Registry {
-    counters: Mutex<BTreeMap<String, Counter>>,
-    gauges: Mutex<BTreeMap<String, Gauge>>,
-    histograms: Mutex<BTreeMap<String, Histogram>>,
-    series: Mutex<BTreeMap<String, Series>>,
-}
-
-/// The process-wide registry used by all instrumentation sites.
-pub fn registry() -> &'static Registry {
-    static REGISTRY: OnceLock<Registry> = OnceLock::new();
-    REGISTRY.get_or_init(Registry::default)
-}
-
-impl Registry {
-    /// Returns (creating if needed) the counter called `name`.
-    pub fn counter(&self, name: &str) -> Counter {
-        let mut map = self
-            .counters
-            .lock()
-            .unwrap_or_else(std::sync::PoisonError::into_inner);
-        map.entry(name.to_owned())
-            .or_insert_with(|| Counter(Arc::new(AtomicU64::new(0))))
-            .clone()
-    }
-
-    /// Returns (creating if needed) the gauge called `name`.
-    pub fn gauge(&self, name: &str) -> Gauge {
-        let mut map = self
-            .gauges
-            .lock()
-            .unwrap_or_else(std::sync::PoisonError::into_inner);
-        map.entry(name.to_owned())
-            .or_insert_with(|| Gauge(Arc::new(AtomicU64::new(0f64.to_bits()))))
-            .clone()
-    }
-
-    /// Returns (creating if needed) the histogram called `name`.
-    pub fn histogram(&self, name: &str) -> Histogram {
-        let mut map = self
-            .histograms
-            .lock()
-            .unwrap_or_else(std::sync::PoisonError::into_inner);
-        map.entry(name.to_owned())
-            .or_insert_with(|| {
-                Histogram(Arc::new(HistInner {
-                    count: AtomicU64::new(0),
-                    sum: AtomicU64::new(0),
-                    min: AtomicU64::new(u64::MAX),
-                    max: AtomicU64::new(0),
-                }))
-            })
-            .clone()
-    }
-
-    /// Returns (creating if needed) the series called `name`.
-    pub fn series(&self, name: &str) -> Series {
-        let mut map = self
-            .series
-            .lock()
-            .unwrap_or_else(std::sync::PoisonError::into_inner);
-        map.entry(name.to_owned())
-            .or_insert_with(|| Series(Arc::new(Mutex::new(Vec::new()))))
-            .clone()
-    }
-
-    /// Zeroes every instrument without removing it (session start).
-    pub fn reset(&self) {
-        for c in self
-            .counters
-            .lock()
-            .unwrap_or_else(std::sync::PoisonError::into_inner)
-            .values()
-        {
-            c.0.store(0, Ordering::Relaxed);
-        }
-        for g in self
-            .gauges
-            .lock()
-            .unwrap_or_else(std::sync::PoisonError::into_inner)
-            .values()
-        {
-            g.0.store(0f64.to_bits(), Ordering::Relaxed);
-        }
-        for h in self
-            .histograms
-            .lock()
-            .unwrap_or_else(std::sync::PoisonError::into_inner)
-            .values()
-        {
-            h.0.count.store(0, Ordering::Relaxed);
-            h.0.sum.store(0, Ordering::Relaxed);
-            h.0.min.store(u64::MAX, Ordering::Relaxed);
-            h.0.max.store(0, Ordering::Relaxed);
-        }
-        for s in self
-            .series
-            .lock()
-            .unwrap_or_else(std::sync::PoisonError::into_inner)
-            .values()
-        {
-            s.0.lock()
-                .unwrap_or_else(std::sync::PoisonError::into_inner)
-                .clear();
-        }
-    }
-
-    /// Copies out every instrument's current value (session finish).
-    pub fn snapshot(&self) -> MetricsSnapshot {
-        MetricsSnapshot {
-            counters: self
-                .counters
-                .lock()
-                .unwrap_or_else(std::sync::PoisonError::into_inner)
-                .iter()
-                .map(|(k, v)| (k.clone(), v.get()))
-                .collect(),
-            gauges: self
-                .gauges
-                .lock()
-                .unwrap_or_else(std::sync::PoisonError::into_inner)
-                .iter()
-                .map(|(k, v)| (k.clone(), v.get()))
-                .collect(),
-            histograms: self
-                .histograms
-                .lock()
-                .unwrap_or_else(std::sync::PoisonError::into_inner)
-                .iter()
-                .map(|(k, v)| (k.clone(), v.snapshot()))
-                .collect(),
-            series: self
-                .series
-                .lock()
-                .unwrap_or_else(std::sync::PoisonError::into_inner)
-                .iter()
-                .map(|(k, v)| (k.clone(), v.values()))
-                .collect(),
-        }
-    }
-}
-
-/// Point-in-time view of the whole [`Registry`], with deterministic
-/// (`BTreeMap`) iteration order for exporters.
+/// Point-in-time view of a run's [`Registry`], with deterministic
+/// (`BTreeMap`) iteration order for exporters. Lists exactly the
+/// instruments the run touched.
 #[derive(Clone, Debug, Default, PartialEq)]
 pub struct MetricsSnapshot {
     /// Counter values by name.
@@ -300,36 +51,85 @@ pub struct MetricsSnapshot {
     pub series: BTreeMap<String, Vec<f64>>,
 }
 
-/// A counter site suitable for a file-level `static`: resolves its
-/// registry handle once, and every [`SiteCounter::add`] is a relaxed
-/// level check (plus one atomic add when observability is on).
+/// One run's metrics. Instruments are created by their first event.
+#[derive(Default)]
+pub struct Registry(Mutex<MetricsSnapshot>);
+
+/// Applies `f` to the instrument called `name`, creating it first
+/// (allocating its name only then).
+fn update<V: Default>(map: &mut BTreeMap<String, V>, name: &str, f: impl FnOnce(&mut V)) {
+    match map.get_mut(name) {
+        Some(v) => f(v),
+        None => {
+            let mut v = V::default();
+            f(&mut v);
+            map.insert(name.to_owned(), v);
+        }
+    }
+}
+
+impl Registry {
+    fn lock(&self) -> std::sync::MutexGuard<'_, MetricsSnapshot> {
+        self.0.lock().unwrap_or_else(PoisonError::into_inner)
+    }
+
+    /// Adds `n` to the counter `name`. Safe from any thread
+    /// (commutative).
+    pub fn add(&self, name: &str, n: u64) {
+        update(&mut self.lock().counters, name, |c| *c += n);
+    }
+
+    /// Sets the last-write-wins gauge `name`. Set only from serial
+    /// sections to keep snapshots deterministic.
+    pub fn set(&self, name: &str, v: f64) {
+        update(&mut self.lock().gauges, name, |g| *g = v);
+    }
+
+    /// Records one observation in the histogram `name`. Safe from any
+    /// thread (every component is commutative).
+    pub fn record(&self, name: &str, v: u64) {
+        update(&mut self.lock().histograms, name, |h| {
+            h.min = if h.count == 0 { v } else { h.min.min(v) };
+            h.max = h.max.max(v);
+            h.count += 1;
+            h.sum += v;
+        });
+    }
+
+    /// Appends one sample to the series `name` (e.g. router overflow
+    /// per rip-up round). Push only from serial sections — order
+    /// would otherwise depend on scheduling.
+    pub fn push(&self, name: &str, v: f64) {
+        update(&mut self.lock().series, name, |s| s.push(v));
+    }
+
+    /// Copies out every instrument's current value.
+    pub fn snapshot(&self) -> MetricsSnapshot {
+        self.lock().clone()
+    }
+}
+
+/// A counter site suitable for a file-level `static`. Off the run's
+/// recorder, [`SiteCounter::add`] is one thread-local load and a
+/// branch.
 ///
 /// ```
 /// static NETS: macro3d_obs::SiteCounter = macro3d_obs::SiteCounter::new("extract/nets");
 /// NETS.add(1);
 /// ```
-pub struct SiteCounter {
-    name: &'static str,
-    cell: OnceLock<Counter>,
-}
+pub struct SiteCounter(&'static str);
 
 impl SiteCounter {
     /// Declares a counter site named `name`.
     pub const fn new(name: &'static str) -> Self {
-        SiteCounter {
-            name,
-            cell: OnceLock::new(),
-        }
+        SiteCounter(name)
     }
 
-    /// Adds `n` if observability is at least [`crate::ObsLevel::Summary`].
+    /// Adds `n` if the thread's run records at least
+    /// [`crate::ObsLevel::Summary`].
     #[inline]
     pub fn add(&self, n: u64) {
-        if crate::enabled(crate::ObsLevel::Summary) {
-            self.cell
-                .get_or_init(|| registry().counter(self.name))
-                .add(n);
-        }
+        crate::with_metrics(|m| m.add(self.0, n));
     }
 
     /// Adds one (level-gated like [`SiteCounter::add`]).
@@ -341,27 +141,18 @@ impl SiteCounter {
 
 /// A histogram site suitable for a file-level `static`; the histogram
 /// analogue of [`SiteCounter`].
-pub struct SiteHistogram {
-    name: &'static str,
-    cell: OnceLock<Histogram>,
-}
+pub struct SiteHistogram(&'static str);
 
 impl SiteHistogram {
     /// Declares a histogram site named `name`.
     pub const fn new(name: &'static str) -> Self {
-        SiteHistogram {
-            name,
-            cell: OnceLock::new(),
-        }
+        SiteHistogram(name)
     }
 
-    /// Records `v` if observability is at least [`crate::ObsLevel::Summary`].
+    /// Records `v` if the thread's run records at least
+    /// [`crate::ObsLevel::Summary`].
     #[inline]
     pub fn record(&self, v: u64) {
-        if crate::enabled(crate::ObsLevel::Summary) {
-            self.cell
-                .get_or_init(|| registry().histogram(self.name))
-                .record(v);
-        }
+        crate::with_metrics(|m| m.record(self.0, v));
     }
 }

@@ -2,16 +2,17 @@
 //!
 //! Spans are recorded into a thread-local buffer as a flat forest
 //! (`parent` index links). Parallel regions use the fork/branch/join
-//! protocol: [`fork`] marks a fork point, every unit of parallel work
-//! wraps itself in [`ForkPoint::branch`] with a *stable* key (chunk
-//! start index, join-arm number — never a thread id), and
-//! [`ForkPoint::join`] splices the collected branch forests back into
-//! the caller's buffer sorted by key. Because the keys depend only on
-//! the work decomposition — which `macro3d-par` guarantees is
+//! protocol: [`fork`] marks a fork point carrying the run's recorder,
+//! every unit of parallel work wraps itself in [`ForkPoint::branch`]
+//! with a *stable* key (chunk start index, join-arm number — never a
+//! thread id), which installs that recorder on the executing thread,
+//! and [`ForkPoint::join`] splices the collected branch forests back
+//! into the caller's buffer sorted by key. Because the keys depend
+//! only on the work decomposition — which `macro3d-par` guarantees is
 //! thread-count-independent — the stitched span tree is bit-identical
 //! for any number of worker threads.
 
-use crate::ObsLevel;
+use crate::{ObsLevel, Recorder};
 use std::cell::{Cell, RefCell};
 use std::marker::PhantomData;
 use std::sync::atomic::{AtomicU32, Ordering};
@@ -190,24 +191,30 @@ impl Drop for SpanGuard {
 }
 
 struct ForkInner {
-    /// `(branch key, recorded forest)` per completed branch.
+    /// The forking run's recorder, installed in every branch.
+    recorder: Arc<Recorder>,
+    /// `(branch key, recorded forest)` per completed branch (only at
+    /// [`ObsLevel::Full`]).
     branches: Mutex<Vec<(u64, Vec<Node>)>>,
 }
 
 /// A fork point for a parallel region (see the module docs).
 ///
-/// Inert (zero-cost beyond one `Option` check) unless the session
-/// level is [`ObsLevel::Full`] when [`fork`] is called.
+/// Inert (zero-cost beyond one `Option` check) unless the forking
+/// thread's run records at least [`ObsLevel::Summary`] when [`fork`]
+/// is called.
 #[derive(Clone)]
 pub struct ForkPoint {
     inner: Option<Arc<ForkInner>>,
 }
 
-/// Creates a fork point. Call on the forking thread, *before* the
-/// parallel region; hand (a clone of) it to every worker.
+/// Creates a fork point carrying the calling thread's recorder. Call
+/// on the forking thread, *before* the parallel region; hand (a clone
+/// of) it to every worker.
 pub fn fork() -> ForkPoint {
-    let inner = crate::enabled(ObsLevel::Full).then(|| {
+    let inner = crate::current().map(|recorder| {
         Arc::new(ForkInner {
+            recorder,
             branches: Mutex::new(Vec::new()),
         })
     });
@@ -215,15 +222,19 @@ pub fn fork() -> ForkPoint {
 }
 
 impl ForkPoint {
-    /// Enters a branch: spans recorded until the guard drops go into
-    /// a private forest shipped to the fork point, keyed by `key`.
+    /// Enters a branch: until the guard drops, the calling thread
+    /// records into the forking run's recorder, and (at
+    /// [`ObsLevel::Full`]) its spans go into a private forest shipped
+    /// to the fork point, keyed by `key`.
     ///
     /// `key` must be a deterministic function of the work item (chunk
     /// start index, join-arm number), unique within the fork, and
     /// must never encode the executing thread.
     pub fn branch(&self, key: u64) -> Option<BranchGuard> {
         self.inner.as_ref().map(|inner| BranchGuard {
-            saved: Some(TLS.with(|t| t.replace(LocalBuf::default()))),
+            outer: crate::install(Some(Arc::clone(&inner.recorder))),
+            saved: (inner.recorder.level >= ObsLevel::Full)
+                .then(|| TLS.with(|t| t.replace(LocalBuf::default()))),
             inner: Arc::clone(inner),
             key,
         })
@@ -259,8 +270,13 @@ impl ForkPoint {
     }
 }
 
-/// Scopes one branch of a [`ForkPoint`]; ships its forest on drop.
+/// Scopes one branch of a [`ForkPoint`]; on drop it restores the
+/// thread's own recorder and ships the branch's span forest.
 pub struct BranchGuard {
+    /// The recorder the thread had before the branch.
+    outer: Option<Arc<Recorder>>,
+    /// The thread's span buffer, set aside while the branch records
+    /// its own (only at [`ObsLevel::Full`]).
     saved: Option<LocalBuf>,
     inner: Arc<ForkInner>,
     key: u64,
@@ -268,7 +284,11 @@ pub struct BranchGuard {
 
 impl Drop for BranchGuard {
     fn drop(&mut self) {
-        let recorded = TLS.with(|t| t.replace(self.saved.take().unwrap_or_default()));
+        crate::install(self.outer.take());
+        let Some(saved) = self.saved.take() else {
+            return;
+        };
+        let recorded = TLS.with(|t| t.replace(saved));
         let mut nodes = recorded.nodes;
         // Close any span left open in the branch (a panic unwound
         // past its guard) so the forest stays well-formed.

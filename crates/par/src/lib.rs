@@ -18,9 +18,11 @@
 //!
 //! The same contract extends to observability: each primitive brackets
 //! its units of work in `macro3d-obs` fork/branch scopes keyed by the
-//! work decomposition (chunk start index, join arm), so spans recorded
-//! inside worker closures are stitched into a thread-count-invariant
-//! tree. This costs one atomic load per chunk when tracing is off.
+//! work decomposition (chunk start index, join arm). A branch carries
+//! the calling run's recorder to the worker, so metrics recorded inside
+//! worker closures land in that run, and spans are stitched into a
+//! thread-count-invariant tree. This costs one thread-local load per
+//! call when tracing is off.
 //!
 //! It also extends to fault tolerance: the [`budget`] module provides
 //! cooperative stage budgets (wall-clock deadline + per-site iteration
@@ -555,7 +557,7 @@ mod tests {
 
     /// Spans opened inside worker closures stitch into the same tree
     /// for any thread count (the obs arm of the determinism
-    /// contract). One test fn: the obs session level is global.
+    /// contract).
     #[test]
     fn spans_stitch_identically_across_thread_counts() {
         use macro3d_obs::{ObsConfig, Session};
@@ -583,6 +585,62 @@ mod tests {
         assert!(serial.contains("left\n") && serial.contains("right\n"));
         for threads in [2, 8] {
             assert_eq!(signature(threads), serial, "threads={threads}");
+        }
+    }
+
+    /// At `Summary`, counters added inside `parallel_map_with` and
+    /// `parallel_join` closures reach the calling run with the same
+    /// values at any thread count, while a second run on another
+    /// thread, live at the same time, reads only its own counts.
+    #[test]
+    fn worker_counters_reach_their_own_session_at_any_thread_count() {
+        use macro3d_obs::{ObsConfig, Session, SiteCounter};
+        static MAPPED: SiteCounter = SiteCounter::new("par-test/mapped");
+        static JOINED: SiteCounter = SiteCounter::new("par-test/joined");
+        let items: Vec<u64> = (0..100).collect();
+        // one round of both primitives, each event weighted `weight`
+        let round = |par: &Parallelism, weight: u64| {
+            parallel_map_with(&items, par, || (), |(), _, &x| MAPPED.add(weight * x));
+            parallel_join(par.threads, |_| JOINED.add(weight), |_| JOINED.add(weight));
+        };
+        let counts = |threads: usize| {
+            let session = Session::start(ObsConfig::summary(), "par-test");
+            round(&Parallelism::threads(threads).with_chunk_size(7), 1);
+            session.finish().expect("tracing on").metrics.counters
+        };
+        let alone = counts(1);
+        assert_eq!(alone["par-test/mapped"], 4950);
+        assert_eq!(alone["par-test/joined"], 2);
+        for threads in [1, 2, 8] {
+            // a neighbour run with ten times the weight records on its
+            // own thread from before ours starts until after it ends
+            let open = std::sync::Barrier::new(2);
+            let done = std::sync::atomic::AtomicBool::new(false);
+            let (ours, (rounds, theirs)) = std::thread::scope(|scope| {
+                let neighbour = scope.spawn(|| {
+                    let session = Session::start(ObsConfig::summary(), "neighbour");
+                    open.wait();
+                    let par = Parallelism::threads(threads).with_chunk_size(3);
+                    let mut rounds = 0u64;
+                    while rounds == 0 || !done.load(Ordering::Relaxed) {
+                        round(&par, 10);
+                        rounds += 1;
+                    }
+                    let counters = session.finish().expect("tracing on").metrics.counters;
+                    (rounds, counters)
+                });
+                open.wait();
+                let ours = counts(threads);
+                done.store(true, Ordering::Relaxed);
+                (ours, neighbour.join().expect("neighbour"))
+            });
+            assert_eq!(ours, alone, "threads={threads}");
+            assert_eq!(
+                theirs["par-test/mapped"],
+                49_500 * rounds,
+                "threads={threads}"
+            );
+            assert_eq!(theirs["par-test/joined"], 20 * rounds, "threads={threads}");
         }
     }
 }

@@ -372,18 +372,12 @@ pub fn analytical_place(
             None => 0.0,
         };
 
-        if macro3d_obs::enabled(macro3d_obs::ObsLevel::Summary) {
-            let reg = macro3d_obs::registry();
-            reg.series("place/overflow").push(overflow);
-            reg.series("place/hpwl_um").push(hpwl_um);
-            reg.series("place/step_size").push(alpha);
-        }
+        macro3d_obs::with_metrics(|m| {
+            m.push("place/overflow", overflow);
+            m.push("place/hpwl_um", hpwl_um);
+            m.push("place/step_size", alpha);
+        });
 
-        if std::env::var_os("MACRO3D_ANALYTICAL_DEBUG").is_some() && iter % 16 == 0 {
-            eprintln!(
-                "  [nes {iter:4}] ovf={overflow:.3} hpwl={hpwl_um:9.1} gamma={gamma:.2} lambda={lambda:.3e} alpha={alpha:.3e} gmax={gmax:.3e}"
-            );
-        }
         if overflow < acfg.target_overflow || alpha == 0.0 {
             break;
         }

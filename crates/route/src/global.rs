@@ -530,11 +530,7 @@ impl Router {
             }
             // serial commit section, so the per-iteration overflow
             // history is deterministic for any thread count
-            if macro3d_obs::enabled(macro3d_obs::ObsLevel::Summary) {
-                macro3d_obs::registry()
-                    .series("route/overflow")
-                    .push(self.grid.total_overflow());
-            }
+            macro3d_obs::with_metrics(|m| m.push("route/overflow", self.grid.total_overflow()));
         }
         self.pending.iter_mut().for_each(|p| *p = false);
     }

@@ -2,10 +2,8 @@
 //! most 3 full propagations (1 pass + confirmation, vs the legacy 32+
 //! probes), and incremental updates record their cone sizes.
 //!
-//! Single `#[test]` on purpose: the obs level and registry are
-//! process-global, and this integration-test binary is its own
-//! process, so the counters observed here are exactly the ones this
-//! test produced.
+//! The obs session records into a registry of its own, so the
+//! counters observed here are exactly the ones this test produced.
 
 use macro3d_extract::NetParasitics;
 use macro3d_netlist::{Design, PinRef};
@@ -97,26 +95,33 @@ fn input<'a>(
 #[test]
 fn parametric_analyze_stays_within_propagation_budget() {
     let obs = Session::start(ObsConfig::summary(), "sta-obs");
-    let reg = macro3d_obs::registry();
-    let propagations = reg.counter("sta/propagations");
+    let snapshot =
+        || macro3d_obs::with_metrics(macro3d_obs::Registry::snapshot).expect("summary session");
+    let propagations = || {
+        snapshot()
+            .counters
+            .get("sta/propagations")
+            .copied()
+            .unwrap_or(0)
+    };
     let par = Parallelism::serial();
 
     // unmixed design: all arrivals share the same period coefficient,
     // so the single pass is globally exact — exactly 1 propagation
     let (d, p, c) = design(false);
     let clock = ClockArrivals::ideal(&d);
-    let before = propagations.get();
+    let before = propagations();
     analyze_with(&input(&d, &p, &c, &clock), &par, StaMode::Parametric);
-    let unmixed = propagations.get() - before;
+    let unmixed = propagations() - before;
     assert_eq!(unmixed, 1, "unmixed design should need exactly 1 pass");
 
     // mixed design (half-cycle port merging into the flop cone): the
     // confirmation may iterate, but never back to probe-search scale
     let (d, p, c) = design(true);
     let clock = ClockArrivals::ideal(&d);
-    let before = propagations.get();
+    let before = propagations();
     analyze_with(&input(&d, &p, &c, &clock), &par, StaMode::Parametric);
-    let mixed = propagations.get() - before;
+    let mixed = propagations() - before;
     assert!(
         (1..=3).contains(&mixed),
         "mixed design took {mixed} propagations (budget ≤ 3)"
@@ -124,9 +129,9 @@ fn parametric_analyze_stays_within_propagation_budget() {
 
     // the legacy probe path really is what we are saving: one analyze
     // burns a propagation per bisection probe
-    let before = propagations.get();
+    let before = propagations();
     analyze_with(&input(&d, &p, &c, &clock), &par, StaMode::Probe);
-    let probe = propagations.get() - before;
+    let probe = propagations() - before;
     assert!(probe > 30, "probe mode ran only {probe} propagations?");
 
     // incremental update: records its cone size and no full repass on
@@ -138,12 +143,12 @@ fn parametric_analyze_stays_within_propagation_budget() {
     let changes = upsize_critical_path(&mut d, &timing);
     assert!(!changes.is_empty());
     let touched = apply_sizing_to_parasitics(&d, &changes, &mut p);
-    let before = propagations.get();
+    let before = propagations();
     session.update(&input(&d, &p, &c, &clock), &touched, &par);
-    let update = propagations.get() - before;
+    let update = propagations() - before;
     assert_eq!(update, 0, "unmixed cone update needs no full propagation");
 
-    let snap = reg.snapshot();
+    let snap = snapshot();
     assert_eq!(snap.counters["sta/incremental_updates"], 1);
     let cone = snap.histograms["sta/cone_nets"];
     assert_eq!(cone.count, 1);

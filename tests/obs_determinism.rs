@@ -1,9 +1,11 @@
 //! Observability determinism: the stitched span tree and every metric
 //! value must be bit-identical for any worker count, matching the
-//! engine-level determinism guarantees.
+//! engine-level determinism guarantees, and a job's trace must not
+//! change when other jobs run beside it.
 
 use macro3d::flows::{Flow, Macro3d};
-use macro3d::{FlowConfig, ObsConfig};
+use macro3d::{FlowConfig, FlowTrace, ObsConfig};
+use macro3d_dse::{DseConfig, DseService, JobSpec};
 use macro3d_soc::{generate_tile, TileConfig, TileNetlist};
 
 fn tiny_tile() -> TileNetlist {
@@ -33,13 +35,11 @@ fn traced_cfg(threads: usize) -> FlowConfig {
     cfg
 }
 
-/// One test function: the obs session state is global, so runs must
-/// not interleave with each other.
 #[test]
 fn full_trace_is_identical_across_thread_counts() {
     let tile = tiny_tile();
 
-    // Warm-up pass: the build cache is process-global, so without it
+    // Warm-up pass: the build cache is shared by the process, so without it
     // the first traced run would record cache misses and the second
     // hits, which is a (correct) run-order difference, not a
     // thread-count difference.
@@ -83,4 +83,88 @@ fn full_trace_is_identical_across_thread_counts() {
     assert!(m.counters.keys().any(|k| k.starts_with("cache/")));
     let derived = t1.metrics_json();
     assert!(derived.contains("hit_rate"));
+}
+
+/// A mini-tile job fast enough for a debug-mode test.
+fn mini_spec(flow: &str, obs: ObsConfig, tweak: impl FnOnce(&mut FlowConfig)) -> JobSpec {
+    let mut spec = JobSpec::new(flow, TileConfig::mini());
+    spec.config.sizing_rounds = 1;
+    spec.config.route.iterations = 1;
+    spec.config.obs = obs;
+    tweak(&mut spec.config);
+    spec
+}
+
+/// A traced job's span tree and counters are those of its run alone,
+/// however many traced and untraced jobs a `DseService` runs beside
+/// it, at 1 and at 8 workers.
+#[test]
+fn traced_job_is_identical_alone_and_beside_neighbours() {
+    let targets = [
+        mini_spec("Macro-3D", ObsConfig::summary(), |_| {}),
+        mini_spec("Macro-3D", ObsConfig::full(), |_| {}),
+    ];
+    let neighbours = [
+        mini_spec("2D", ObsConfig::off(), |_| {}),
+        mini_spec("Macro-3D", ObsConfig::off(), |c| c.sizing_rounds = 0),
+        mini_spec("Macro-3D", ObsConfig::summary(), |c| c.route.iterations = 2),
+        mini_spec("2D", ObsConfig::full(), |c| c.sizing_rounds = 2),
+        mini_spec("Macro-3D", ObsConfig::off(), |c| c.macro_metals = 6),
+        mini_spec("2D", ObsConfig::summary(), |c| c.route.iterations = 2),
+    ];
+    // Warm the shared build cache with every spec, so `cache/*` and the
+    // macro-anneal counters (the anneal runs inside a cached builder)
+    // do not depend on which job filled it.
+    let tile = generate_tile(&TileConfig::mini());
+    for spec in targets.iter().chain(&neighbours) {
+        let flow = macro3d_dse::flow_by_name(&spec.flow).expect("known flow");
+        flow.run(&tile, &spec.config);
+    }
+    let alone: Vec<FlowTrace> = targets
+        .iter()
+        .map(|spec| Macro3d.run(&tile, &spec.config).obs.expect("traced"))
+        .collect();
+
+    for workers in [1, 8] {
+        let service = DseService::start(DseConfig {
+            workers,
+            queue_capacity: 64,
+            // stage reuse would let the second target re-enter after
+            // the first one's stages (obs keys no stage)
+            stage_reuse: false,
+            ..DseConfig::default()
+        })
+        .expect("service starts");
+        let client = service.client();
+        let (head, tail) = neighbours.split_at(3);
+        let mut ids = Vec::new();
+        for spec in head.iter().chain(&targets).chain(tail) {
+            ids.push(client.submit(spec.clone()).expect("submit"));
+        }
+        let results: Vec<_> = ids
+            .into_iter()
+            .map(|id| client.wait(id).expect("job succeeds"))
+            .collect();
+        service.shutdown();
+
+        for (i, alone) in alone.iter().enumerate() {
+            let beside = results[head.len() + i].obs.as_ref().expect("traced");
+            let level = targets[i].config.obs.level;
+            assert_eq!(
+                beside.tree_signature(),
+                alone.tree_signature(),
+                "span tree at {level:?}, workers={workers}"
+            );
+            assert_eq!(
+                beside.metrics.counters, alone.metrics.counters,
+                "counters at {level:?}, workers={workers}"
+            );
+            assert_eq!(
+                beside.metrics_json(),
+                alone.metrics_json(),
+                "metrics at {level:?}, workers={workers}"
+            );
+        }
+    }
+    assert_eq!(alone[0].metrics.counters["route/iterations"], 1);
 }
